@@ -10,9 +10,9 @@ Subcommands:
     evaluate      recall/precision of planted behaviors against a run's tails
 
 Report files are pure functions of (inputs, config, seed): reruns produce
-byte-identical bytes regardless of --threads. Volatile facts (durations,
-peak memory, thread count) go to timings.json only; manifest.json carries
-the config echo, row accounting, and sha256 of every report file.
+byte-identical bytes. Volatile facts (durations, peak memory) go to
+timings.json only; manifest.json carries the config echo, row accounting,
+and sha256 of every report file.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ METRICS_CSV_HEADER = [
 
 COOCCURRENCE_PAIRS = (("c_over_h2", "a50pc"), ("c_over_h2", "a50"), ("a50pc", "a50"))
 
-DEFAULT_HIST_SPECS: Mapping[str, tuple[Fraction, Fraction, Fraction]] = {
+#: Histogram display range and bin width, (lo, hi, width), per indicator.
+HIST_SPECS: Mapping[str, tuple[Fraction, Fraction, Fraction]] = {
     "c_over_h2": (Fraction(0), Fraction(20), Fraction(1, 4)),
     "a50pc": (Fraction(0), Fraction(200), Fraction(1)),
     "a50": (Fraction(0), Fraction(40), Fraction(1)),
@@ -65,15 +66,9 @@ class RunConfig:
     taxonomy_path: str
     out_dir: str
     eligibility: cohort_mod.EligibilityConfig = cohort_mod.EligibilityConfig()
-    percentile: float = 1.0
+    percentile: Fraction = Fraction(1)
     excluded_fields: frozenset[str] = frozenset()
     a50_threshold: int = 50
-    threads: int = 1
-    hist_specs: Mapping[str, tuple[Fraction, Fraction, Fraction]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.hist_specs is None:
-            object.__setattr__(self, "hist_specs", DEFAULT_HIST_SPECS)
 
     def tail_specs(self) -> dict[str, stats_mod.TailSpec]:
         """Lower tails for c_over_h2 and a50pc, upper for a50; exclusions apply
@@ -105,14 +100,6 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _named_source(records, path: str):
-    """Prefix parse errors with the file they came from."""
-    try:
-        yield from records
-    except ingest_mod.IngestError as exc:
-        raise ingest_mod.IngestError(f"{path}: {exc}") from exc
-
-
 def _parse_inputs(cfg: RunConfig, report: ingest_mod.IngestReport) -> CorpusIndex:
     for role, path in (
         ("papers", cfg.papers_path),
@@ -122,31 +109,19 @@ def _parse_inputs(cfg: RunConfig, report: ingest_mod.IngestReport) -> CorpusInde
     ):
         _require_file(path, role)
 
-    stats_t = report.stats_for("taxonomy")
-    start = time.perf_counter()
-    try:
-        with open(cfg.taxonomy_path, "rb") as fh:
-            taxonomy = ingest_mod.parse_taxonomy(fh, stats_t)
-    except ingest_mod.IngestError as exc:
-        raise ingest_mod.IngestError(f"{cfg.taxonomy_path}: {exc}") from exc
-    stats_t.duration_s = time.perf_counter() - start
+    with open(cfg.taxonomy_path, "rb") as fh:
+        taxonomy = ingest_mod.parse_taxonomy(fh, report.stats_for("taxonomy"))
 
     # The three record parsers are generators; consume them inside the open.
-    stats_p = report.stats_for("papers")
-    stats_a = report.stats_for("authorships")
-    stats_c = report.stats_for("citations")
-    start = time.perf_counter()
     with open(cfg.papers_path, "rb") as fp, open(cfg.authorships_path, "rb") as fa, open(
         cfg.citations_path, "rb"
     ) as fc:
-        index = build_index(
-            _named_source(ingest_mod.parse_papers(fp, stats_p), cfg.papers_path),
-            _named_source(ingest_mod.parse_authorships(fa, stats_a), cfg.authorships_path),
-            _named_source(ingest_mod.parse_citations(fc, stats_c), cfg.citations_path),
+        return build_index(
+            ingest_mod.parse_papers(fp, report.stats_for("papers")),
+            ingest_mod.parse_authorships(fa, report.stats_for("authorships")),
+            ingest_mod.parse_citations(fc, report.stats_for("citations")),
             taxonomy,
         )
-    stats_p.duration_s = stats_a.duration_s = stats_c.duration_s = time.perf_counter() - start
-    return index
 
 
 def _peak_rss_mb() -> float | None:
@@ -172,16 +147,11 @@ def run_pipeline(cfg: RunConfig) -> Path:
 
     t = time.perf_counter()
     cohort = cohort_mod.eligible_authors(index, cfg.eligibility)
-    assignments = cohort_mod.assign_fields(index, sorted(cohort), cfg.eligibility.seed)
     timings["cohort"] = time.perf_counter() - t
 
     t = time.perf_counter()
     all_metrics = metrics_mod.compute_all_metrics(
-        index,
-        cohort,
-        field_assignments=assignments,
-        a50_threshold=cfg.a50_threshold,
-        threads=cfg.threads,
+        index, cohort, field_assignments=cohort, a50_threshold=cfg.a50_threshold
     )
     timings["metrics"] = time.perf_counter() - t
 
@@ -249,7 +219,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
             ),
         )
 
-    for metric, (lo, hi, width) in cfg.hist_specs.items():
+    for metric, (lo, hi, width) in HIST_SPECS.items():
         hist = stats_mod.histogram(
             [getattr(m, metric) for m in all_metrics.values()], width, lo, hi
         )
@@ -315,12 +285,12 @@ def run_pipeline(cfg: RunConfig) -> Path:
             "min_full_papers": cfg.eligibility.min_full_papers,
             "min_citations": cfg.eligibility.min_citations,
             "seed": cfg.eligibility.seed,
-            "percentile": cfg.percentile,
+            "percentile": float(cfg.percentile),
             "a50_threshold": cfg.a50_threshold,
             "excluded_fields": sorted(cfg.excluded_fields),
             "histograms": {
                 m: {"lo": f"{float(lo):g}", "hi": f"{float(hi):g}", "width": f"{float(w):g}"}
-                for m, (lo, hi, w) in cfg.hist_specs.items()
+                for m, (lo, hi, w) in HIST_SPECS.items()
             },
         },
         "ingest": {
@@ -357,7 +327,6 @@ def run_pipeline(cfg: RunConfig) -> Path:
 
     timings["total"] = time.perf_counter() - t_total
     runtime = {
-        "threads": cfg.threads,
         "stages_s": {k: round(v, 3) for k, v in timings.items()},
         "peak_rss_mb": _peak_rss_mb(),
         "ingest_file_s": {
@@ -383,7 +352,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         percentile=args.pct,
         excluded_fields=frozenset(args.exclude_field or ()),
         a50_threshold=args.a50_threshold,
-        threads=args.threads,
     )
     out = run_pipeline(cfg)
     print(f"run complete: {out}")
@@ -497,9 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--exclude-field", action="append", default=[], help="field_id excluded from a50pc/a50 tails"
     )
-    p_run.add_argument("--pct", type=float, default=1.0, help="tail percentile")
+    p_run.add_argument(
+        "--pct", type=Fraction, default=Fraction(1), help="tail percentile, read as an exact rational"
+    )
     p_run.add_argument("--a50-threshold", type=int, default=50)
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: the per-author work holds the GIL, "
+        "so a thread pool only made runs slower",
+    )
     p_run.set_defaults(func=_cmd_run)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .corpus import CorpusIndex
 from .errors import CitegraphError
-from .metrics import citation_total, full_papers
+from .metrics import citation_counts, full_papers
 
 
 class CohortConfigError(CitegraphError):
@@ -69,6 +69,13 @@ def assign_field(index: CorpusIndex, author_id: str, seed: int) -> tuple[str, st
     the seeded draw. The subfield is chosen the same way within the winning
     field.
     """
+    return _vote_field(index, author_id, full_papers(index, author_id), seed)
+
+
+def _vote_field(
+    index: CorpusIndex, author_id: str, full: tuple[str, ...], seed: int
+) -> tuple[str, str] | None:
+    """assign_field over the author's full papers `full`, already looked up."""
     taxonomy = index.taxonomy
     papers = index.papers
     field_papers: dict[str, int] = {}
@@ -76,7 +83,7 @@ def assign_field(index: CorpusIndex, author_id: str, seed: int) -> tuple[str, st
     by_field_subfield: dict[str, dict[str, int]] = {}
     by_field_subfield_cites: dict[str, dict[str, int]] = {}
 
-    for p in full_papers(index, author_id):
+    for p in full:
         subfield_id = papers[p].subfield_id
         if subfield_id is None:
             continue
@@ -117,20 +124,17 @@ def assign_fields(
     return out
 
 
-def eligible_authors(
-    index: CorpusIndex,
-    cfg: EligibilityConfig,
-    *,
-    citing_full_only: bool = False,
-) -> set[str]:
-    """Authors passing the paper-count, citation, and field requirements."""
-    selected: set[str] = set()
+def eligible_authors(index: CorpusIndex, cfg: EligibilityConfig) -> dict[str, tuple[str, str]]:
+    """(field_id, subfield_id) of every author passing the paper-count, citation,
+    and field requirements; each candidate's field is voted once."""
+    selected: dict[str, tuple[str, str]] = {}
     for author_id in index.papers_of:
-        if len(full_papers(index, author_id)) <= cfg.min_full_papers:
+        full = full_papers(index, author_id)
+        if len(full) <= cfg.min_full_papers:
             continue
-        if citation_total(index, author_id, citing_full_only=citing_full_only) < cfg.min_citations:
+        if sum(citation_counts(index, full)) < cfg.min_citations:
             continue
-        if assign_field(index, author_id, cfg.seed) is None:
-            continue
-        selected.add(author_id)
+        assigned = _vote_field(index, author_id, full, cfg.seed)
+        if assigned is not None:
+            selected[author_id] = assigned
     return selected

@@ -1,6 +1,6 @@
 """Streaming CSV parsers and writers for the four corpus files.
 
-Formats (UTF-8, RFC 4180 quoting, header row required):
+Formats (UTF-8 with an optional BOM, RFC 4180 quoting, header row required):
 
     papers.csv       paper_id,doc_type,subfield_id
     authorships.csv  paper_id,author_id
@@ -9,7 +9,8 @@ Formats (UTF-8, RFC 4180 quoting, header row required):
 
 Parsers are generators over one pass of the input and never materialize a
 whole file, so corpora with 1e8 rows stream in constant memory. Every
-dropped row is counted by reason in the per-file stats.
+dropped row is counted by reason in the per-file stats, and each file's
+parse time is recorded there too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import sys
+import time
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -42,7 +44,11 @@ class IngestError(CitegraphError):
 
 @dataclass
 class FileIngestStats:
-    """Row accounting for one parsed file: rows_read = emitted + dropped + header."""
+    """Row accounting for one parsed file: rows_read = emitted + dropped + header.
+
+    duration_s runs from reading the header to reading the last row, so it
+    includes whatever the consumer did with the rows in between.
+    """
 
     rows_read: int = 0
     emitted: int = 0
@@ -68,44 +74,67 @@ class IngestReport:
 def _text_stream(source: IO) -> IO[str]:
     if isinstance(source, io.TextIOBase):
         return source
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+    return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
 
 
-def _rows(source: IO, expected_header: list[str], stats: FileIngestStats) -> Iterator[tuple[int, list[str]]]:
+def _rows(
+    source: IO, expected_header: list[str], required: tuple[int, ...], stats: FileIngestStats
+) -> Iterator[list[str]]:
+    """Data rows of one CSV file, checked for width and non-empty `required` columns.
+
+    Every IngestError carries the line and, when the source has a name, starts
+    with it.
+    """
+    start = time.perf_counter()
     reader = csv.reader(_text_stream(source))
     try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise IngestError(f"line 1: malformed CSV: {exc}") from exc
-    if header is None:
-        raise IngestError("line 1: missing header row")
-    stats.rows_read += 1
-    if [col.strip().lstrip("﻿") for col in header] != expected_header:
-        raise IngestError(
-            f"line 1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-        )
-    while True:
         try:
-            row = next(reader)
-        except StopIteration:
-            return
+            header = next(reader, None)
         except csv.Error as exc:
-            raise IngestError(f"line {reader.line_num}: malformed CSV: {exc}") from exc
-        if not row:
-            continue
+            raise IngestError(f"line 1: malformed CSV: {exc}") from exc
+        if header is None:
+            raise IngestError("line 1: missing header row")
         stats.rows_read += 1
-        if len(row) != len(expected_header):
+        if [col.strip() for col in header] != expected_header:
             raise IngestError(
-                f"line {reader.line_num}: expected {len(expected_header)} fields, got {len(row)}"
+                f"line 1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
             )
-        yield reader.line_num, row
+        empty = f"empty {' or '.join(expected_header[i] for i in required)}"
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise IngestError(f"line {reader.line_num}: malformed CSV: {exc}") from exc
+            if not row:
+                continue
+            stats.rows_read += 1
+            if len(row) != len(expected_header):
+                raise IngestError(
+                    f"line {reader.line_num}: expected {len(expected_header)} fields, got {len(row)}"
+                )
+            for i in required:
+                if not row[i]:
+                    raise IngestError(f"line {reader.line_num}: {empty}")
+            yield row
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead in blocks, so only a lower bound on the line is known.
+        bad = f"after line {reader.line_num}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
+        raise IngestError(_named(source, bad)) from exc
+    except IngestError as exc:
+        raise IngestError(_named(source, str(exc))) from exc
+    stats.duration_s = time.perf_counter() - start
+
+
+def _named(source: IO, message: str) -> str:
+    name = getattr(source, "name", None)
+    return message if name is None else f"{name}: {message}"
 
 
 def parse_papers(source: IO, stats: FileIngestStats | None = None) -> Iterator[PaperRecord]:
     stats = stats if stats is not None else FileIngestStats()
-    for line_num, (paper_id, doc_type, subfield_id) in _rows(source, PAPERS_HEADER, stats):
-        if not paper_id:
-            raise IngestError(f"line {line_num}: empty paper_id")
+    for paper_id, doc_type, subfield_id in _rows(source, PAPERS_HEADER, (0,), stats):
         stats.emitted += 1
         yield PaperRecord(
             paper_id=sys.intern(paper_id),
@@ -116,9 +145,7 @@ def parse_papers(source: IO, stats: FileIngestStats | None = None) -> Iterator[P
 
 def parse_authorships(source: IO, stats: FileIngestStats | None = None) -> Iterator[AuthorshipRecord]:
     stats = stats if stats is not None else FileIngestStats()
-    for line_num, (paper_id, author_id) in _rows(source, AUTHORSHIPS_HEADER, stats):
-        if not paper_id or not author_id:
-            raise IngestError(f"line {line_num}: empty paper_id or author_id")
+    for paper_id, author_id in _rows(source, AUTHORSHIPS_HEADER, (0, 1), stats):
         stats.emitted += 1
         yield AuthorshipRecord(paper_id=sys.intern(paper_id), author_id=sys.intern(author_id))
 
@@ -126,9 +153,7 @@ def parse_authorships(source: IO, stats: FileIngestStats | None = None) -> Itera
 def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterator[CitationEdge]:
     """Yield citation edges; self-loop rows are dropped and counted, not errors."""
     stats = stats if stats is not None else FileIngestStats()
-    for line_num, (citing, cited) in _rows(source, CITATIONS_HEADER, stats):
-        if not citing or not cited:
-            raise IngestError(f"line {line_num}: empty citing_paper_id or cited_paper_id")
+    for citing, cited in _rows(source, CITATIONS_HEADER, (0, 1), stats):
         if citing == cited:
             stats.drop("self_loop")
             continue
@@ -139,11 +164,9 @@ def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterato
 def parse_taxonomy(source: IO, stats: FileIngestStats | None = None) -> FieldTaxonomy:
     stats = stats if stats is not None else FileIngestStats()
     entries = []
-    for line_num, (subfield_id, subfield_name, field_id, field_name) in _rows(
-        source, TAXONOMY_HEADER, stats
+    for subfield_id, subfield_name, field_id, field_name in _rows(
+        source, TAXONOMY_HEADER, (0, 2), stats
     ):
-        if not subfield_id or not field_id:
-            raise IngestError(f"line {line_num}: empty subfield_id or field_id")
         stats.emitted += 1
         entries.append(
             SubfieldInfo(

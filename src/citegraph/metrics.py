@@ -11,17 +11,15 @@ Four computed quantities per author (column names match metrics.csv):
 
 A citing paper that references k of the author's full papers contributes k
 citations. Citing papers may be of any document type; only full papers of
-the examined author receive countable citations. Both choices are keyword
-options on the compute functions.
+the examined author receive countable citations.
 
-All operations are pure reads over the index, so per-author computations can
-run on any number of threads with identical results.
+All operations are pure reads over the index, so each author's values do not
+depend on which other authors are computed, or in what order.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -53,23 +51,17 @@ def full_papers(index: CorpusIndex, author_id: str) -> tuple[str, ...]:
     return tuple(p for p in index.papers_of.get(author_id, ()) if is_full_paper(papers[p]))
 
 
-def _paper_citation_count(index: CorpusIndex, paper_id: str, citing_full_only: bool) -> int:
-    citers = index.citers_of.get(paper_id, ())
-    if not citing_full_only:
-        return len(citers)
-    papers = index.papers
-    return sum(1 for u in citers if is_full_paper(papers[u]))
+def citation_counts(index: CorpusIndex, papers: tuple[str, ...]) -> list[int]:
+    """Citation count of each paper in `papers`: its citing papers, of any type.
+
+    Callers pass an author's full papers, as returned by full_papers.
+    """
+    citers_of = index.citers_of
+    return [len(citers_of.get(p, ())) for p in papers]
 
 
-def citation_counts(
-    index: CorpusIndex, author_id: str, *, citing_full_only: bool = False
-) -> list[int]:
-    """Citation count of each of the author's full papers."""
-    return [_paper_citation_count(index, p, citing_full_only) for p in full_papers(index, author_id)]
-
-
-def citation_total(index: CorpusIndex, author_id: str, *, citing_full_only: bool = False) -> int:
-    return sum(citation_counts(index, author_id, citing_full_only=citing_full_only))
+def citation_total(index: CorpusIndex, author_id: str) -> int:
+    return sum(citation_counts(index, full_papers(index, author_id)))
 
 
 def h_index(counts: Iterable[int]) -> int:
@@ -104,21 +96,16 @@ def format_2dp(value: Fraction | int) -> str:
     return f"{q // 100}.{q % 100:02d}"
 
 
-def _citing_weights(
-    index: CorpusIndex, author_id: str, citing_full_only: bool
-) -> dict[str, int]:
+def _citing_weights(index: CorpusIndex, author_id: str) -> dict[str, int]:
     """Map each citing paper to the number of the author's full papers it cites."""
     weights: dict[str, int] = {}
-    papers = index.papers
     for p in full_papers(index, author_id):
         for u in index.citers_of.get(p, ()):
-            if citing_full_only and not is_full_paper(papers[u]):
-                continue
             weights[u] = weights.get(u, 0) + 1
     return weights
 
 
-def a50pc_greedy(index: CorpusIndex, author_id: str, *, citing_full_only: bool = False) -> int:
+def a50pc_greedy(index: CorpusIndex, author_id: str) -> int:
     """Citing authors needed to account for at least half of the received citations.
 
     Repeatedly selects the citing author whose still-unconsumed citing papers
@@ -132,7 +119,7 @@ def a50pc_greedy(index: CorpusIndex, author_id: str, *, citing_full_only: bool =
     Uses a lazy max-heap over incrementally maintained contributions; see
     a50pc_oracle for the from-scratch reference used to cross-check it.
     """
-    weights = _citing_weights(index, author_id, citing_full_only)
+    weights = _citing_weights(index, author_id)
     total = sum(weights.values())
     if total == 0:
         raise UndefinedMetricError(f"author {author_id!r} has no citations")
@@ -181,9 +168,7 @@ def a50pc_greedy(index: CorpusIndex, author_id: str, *, citing_full_only: bool =
     return selections
 
 
-def a50pc_oracle_selections(
-    index: CorpusIndex, author_id: str, *, citing_full_only: bool = False
-) -> list[tuple[str, int]]:
+def a50pc_oracle_selections(index: CorpusIndex, author_id: str) -> list[tuple[str, int]]:
     """Reference selection trace for a50pc, recomputed from scratch each round.
 
     Deliberately naive: every iteration rebuilds all candidate contributions
@@ -197,8 +182,6 @@ def a50pc_oracle_selections(
         if not is_full_paper(papers[p]):
             continue
         for u in index.citers_of.get(p, ()):
-            if citing_full_only and not is_full_paper(papers[u]):
-                continue
             remaining[u] = remaining.get(u, 0) + 1
             total += 1
     if total == 0:
@@ -224,17 +207,14 @@ def a50pc_oracle_selections(
     return selections
 
 
-def a50pc_oracle(index: CorpusIndex, author_id: str, *, citing_full_only: bool = False) -> int:
-    return len(a50pc_oracle_selections(index, author_id, citing_full_only=citing_full_only))
+def a50pc_oracle(index: CorpusIndex, author_id: str) -> int:
+    return len(a50pc_oracle_selections(index, author_id))
 
 
 def shared_coauthor_counts(index: CorpusIndex, author_id: str) -> dict[str, int]:
     """Full papers co-authored with each distinct other author."""
     shared: dict[str, int] = {}
-    papers = index.papers
-    for p in index.papers_of.get(author_id, ()):
-        if not is_full_paper(papers[p]):
-            continue
+    for p in full_papers(index, author_id):
         for other in index.authors_of.get(p, ()):
             if other != author_id:
                 shared[other] = shared.get(other, 0) + 1
@@ -251,10 +231,9 @@ def compute_author_metrics(
     author_id: str,
     *,
     a50_threshold: int = 50,
-    citing_full_only: bool = False,
     field_assignment: tuple[str, str] | None = None,
 ) -> AuthorMetrics:
-    counts = citation_counts(index, author_id, citing_full_only=citing_full_only)
+    counts = citation_counts(index, full_papers(index, author_id))
     citations = sum(counts)
     h = h_index(counts)
     field_id, subfield_id = field_assignment if field_assignment else (None, None)
@@ -264,7 +243,7 @@ def compute_author_metrics(
         citations=citations,
         h_index=h,
         c_over_h2=c_over_h2(citations, h),
-        a50pc=a50pc_greedy(index, author_id, citing_full_only=citing_full_only),
+        a50pc=a50pc_greedy(index, author_id),
         a50=a50_coauthors(index, author_id, a50_threshold),
         field_id=field_id,
         subfield_id=subfield_id,
@@ -277,25 +256,16 @@ def compute_all_metrics(
     *,
     field_assignments: Mapping[str, tuple[str, str]] | None = None,
     a50_threshold: int = 50,
-    citing_full_only: bool = False,
-    threads: int = 1,
 ) -> dict[str, AuthorMetrics]:
-    """Metrics for every cohort author, independent of enumeration order and thread count."""
-    authors = sorted(set(cohort))
+    """Metrics for every cohort author, keyed and computed in sorted author order.
+
+    The GIL serialises this pure-Python work, so it runs on one thread: a
+    thread pool here measured slower than the plain loop.
+    """
     assignments = field_assignments or {}
-
-    def one(author_id: str) -> AuthorMetrics:
-        return compute_author_metrics(
-            index,
-            author_id,
-            a50_threshold=a50_threshold,
-            citing_full_only=citing_full_only,
-            field_assignment=assignments.get(author_id),
+    return {
+        a: compute_author_metrics(
+            index, a, a50_threshold=a50_threshold, field_assignment=assignments.get(a)
         )
-
-    if threads <= 1:
-        results = [one(a) for a in authors]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, authors, chunksize=64))
-    return {m.author_id: m for m in results}
+        for a in sorted(set(cohort))
+    }

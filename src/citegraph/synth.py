@@ -117,7 +117,6 @@ class SynthConfig:
     n_hyperteams: int = 1
     team_size: int = 10
     joint_papers: int = 60
-    field_weights: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         if min(self.n_background_authors, self.n_self_citers, self.n_cartels, self.n_hyperteams) < 0:
@@ -141,11 +140,6 @@ class SynthConfig:
             raise SynthConfigError("papers_per_author upper bound must be at least h_range upper + 6")
         if self.light_citations[0] < 0 or self.light_citations[0] > self.light_citations[1]:
             raise SynthConfigError("light_citations bounds must satisfy 0 <= lo <= hi")
-        if self.field_weights is not None:
-            known = {row[2] for row in DEFAULT_TAXONOMY_ROWS}
-            unknown = set(self.field_weights) - known
-            if unknown:
-                raise SynthConfigError(f"field_weights reference unknown fields: {sorted(unknown)}")
 
     @property
     def n_established(self) -> int:
@@ -181,7 +175,6 @@ class SynthCorpus:
 class _Builder:
     rng: random.Random
     taxonomy: FieldTaxonomy
-    field_weights: Mapping[str, float] | None
     papers: list[PaperRecord] = field(default_factory=list)
     authorships: list[AuthorshipRecord] = field(default_factory=list)
     citations: list[CitationEdge] = field(default_factory=list)
@@ -196,10 +189,6 @@ class _Builder:
         self._fields = sorted(self._subfields_by_field)
 
     def pick_home_field(self) -> str:
-        if self.field_weights:
-            fields = sorted(self.field_weights)
-            weights = [self.field_weights[f] for f in fields]
-            return self.rng.choices(fields, weights=weights, k=1)[0]
         return self.rng.choice(self._fields)
 
     def paper_subfield(self, home_field: str, classified_only: bool = False) -> str | None:
@@ -454,9 +443,7 @@ def _build_hyperteams(
 def generate(cfg: SynthConfig) -> SynthCorpus:
     """Build the full synthetic corpus for a config; same config, same corpus."""
     taxonomy = default_taxonomy()
-    builder = _Builder(
-        rng=random.Random(cfg.seed), taxonomy=taxonomy, field_weights=cfg.field_weights
-    )
+    builder = _Builder(rng=random.Random(cfg.seed), taxonomy=taxonomy)
     background_papers, background_h = _build_background(builder, cfg)
     _build_self_citers(builder, cfg)
     _build_cartels(builder, cfg)

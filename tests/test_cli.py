@@ -243,3 +243,101 @@ def test_malformed_csv_fails_with_line_number(tmp_path, corpus_dir, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:")
     assert "line" in err
+
+
+GOLDEN_PATH = Path(__file__).with_name("golden_cli_manifests.json")
+#: Flag sets pinned by the golden test; the digests were recorded on this
+#: module's synth corpus and must not change under refactoring.
+GOLDEN_RUNS = {
+    "default": (),
+    "pct5_exclude_f01": ("--pct", "5", "--exclude-field", "F01"),
+    "low_thresholds": ("--min-citations", "20", "--min-papers", "3", "--a50-threshold", "3"),
+    "pct50_threads4": ("--pct", "50", "--threads", "4"),
+}
+#: Manifest sections that depend only on inputs and flags: every report
+#: file's sha256 plus the row, index, cohort, tail and histogram accounting.
+GOLDEN_SECTIONS = ("outputs", "ingest", "index", "cohort", "tails", "histogram_overflow")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_manifest_sections(corpus_dir, tmp_path, name):
+    out = tmp_path / name
+    assert main(_run_args(corpus_dir, out, GOLDEN_RUNS[name])) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    golden = json.loads(GOLDEN_PATH.read_text())[name]
+    for section in GOLDEN_SECTIONS:
+        assert manifest[section] == golden[section], section
+
+
+def test_run_votes_each_candidate_field_once(corpus_dir, tmp_path, monkeypatch):
+    """One run casts one field vote per author passing the paper and citation checks.
+
+    Every vote with a classified paper, as all of this corpus's candidates
+    have, makes exactly one field-level _majority_pick call, so counting those
+    counts votes whichever function casts them.
+    """
+    from citegraph import cli, cohort, ingest, metrics
+
+    cfg = cli.RunConfig(
+        papers_path=str(corpus_dir / "papers.csv"),
+        authorships_path=str(corpus_dir / "authorships.csv"),
+        citations_path=str(corpus_dir / "citations.csv"),
+        taxonomy_path=str(corpus_dir / "taxonomy.csv"),
+        out_dir=str(tmp_path / "votes"),
+    )
+    index = cli._parse_inputs(cfg, ingest.IngestReport())
+    candidates = [
+        a
+        for a in index.papers_of
+        if len(metrics.full_papers(index, a)) > cfg.eligibility.min_full_papers
+        and metrics.citation_total(index, a) >= cfg.eligibility.min_citations
+    ]
+    voted = []
+    pick = cohort._majority_pick
+
+    def counting_pick(*args):
+        if args[-1] == "field":
+            voted.append(args[-2])
+        return pick(*args)
+
+    monkeypatch.setattr(cohort, "_majority_pick", counting_pick)
+    cli.run_pipeline(cfg)
+    assert len(candidates) > 100
+    assert sorted(voted) == sorted(candidates)
+
+
+def test_ingest_file_durations_are_disjoint(run_dir):
+    timings = json.loads((run_dir / "timings.json").read_text())
+    per_file = timings["ingest_file_s"]
+    # each value is rounded to 1 ms, so allow half of that per file
+    record_files = per_file["papers"] + per_file["authorships"] + per_file["citations"]
+    assert record_files <= timings["stages_s"]["ingest_and_index"] + 3 * 0.0005
+    assert "threads" not in timings
+
+
+@pytest.mark.parametrize("pct, n, rank", [("0.1", 1_000, 1), ("1.1", 10_000, 110)])
+def test_pct_flag_is_exact(pct, n, rank):
+    from citegraph.cli import build_parser
+    from citegraph.stats import percentile_threshold
+
+    args = build_parser().parse_args(_run_args(Path("c"), Path("o"), ("--pct", pct)))
+    assert percentile_threshold(range(1, n + 1), args.pct) == rank
+
+
+def test_pct_flag_rejects_non_numbers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_run_args(Path("c"), Path("o"), ("--pct", "one")))
+    assert exc.value.code == 2
+    assert "--pct" in capsys.readouterr().err
+
+
+def test_non_utf8_input_fails_with_single_line_error(tmp_path, corpus_dir, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"paper_id,doc_type,subfield_id\np1,article,s101\np\xff2,article,s101\n")
+    args = _run_args(corpus_dir, tmp_path / "x")
+    args[args.index("--papers") + 1] = str(bad)
+    assert main(args) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {bad}: ")
+    assert "UTF-8" in err

@@ -46,7 +46,7 @@ def test_authors_without_field_are_excluded():
 def test_unclassified_citing_author_excluded_by_its_own_metrics():
     idx = _corpus_with_author(6, 1000)
     # X has plenty of papers but none classified and few citations anyway
-    assert eligible_authors(idx, EligibilityConfig()) == {"A"}
+    assert eligible_authors(idx, EligibilityConfig()).keys() == {"A"}
 
 
 def test_only_full_papers_count_toward_eligibility():

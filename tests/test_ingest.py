@@ -125,3 +125,13 @@ def test_writers_round_trip(tmp_path):
     write_citations(str(cpath), edges)
     with open(cpath, "rb") as fh:
         assert list(parse_citations(fh)) == edges
+
+
+@pytest.mark.parametrize(
+    "header",
+    ['paper_id,doc_type,subfield_id', '"paper_id","doc_type","subfield_id"'],
+    ids=["plain", "quoted"],
+)
+def test_utf8_bom_before_header_is_ignored(header):
+    data = b"\xef\xbb\xbf" + f"{header}\r\n\"p1\",\"article\",\"102\"\r\n".encode("utf-8")
+    assert list(parse_papers(io.BytesIO(data))) == [PaperRecord("p1", DocType.ARTICLE, "102")]
