@@ -1,7 +1,7 @@
 """Domain records and the immutable cross-linked corpus index.
 
 Everything downstream (cohort selection, indicators, tail statistics) reads
-from a single CorpusIndex built once from flat record streams. The index is
+from a single CorpusIndex built once from flat row streams. The index is
 read-only after construction and safe to share across threads.
 """
 
@@ -32,12 +32,10 @@ class DocType(Enum):
     @classmethod
     def from_string(cls, raw: str) -> "DocType":
         """Map an input code to a document type; unknown codes become OTHER."""
-        folded = raw.strip().lower()
-        for member in (cls.ARTICLE, cls.CONFERENCE_PAPER, cls.REVIEW):
-            if folded == member.value:
-                return member
-        return cls.OTHER
+        return _DOC_TYPE_CODES.get(raw.strip().lower(), cls.OTHER)
 
+
+_DOC_TYPE_CODES = {member.value: member for member in DocType}
 
 #: Document types that count as full papers everywhere in the pipeline.
 FULL_PAPER_TYPES = frozenset({DocType.ARTICLE, DocType.CONFERENCE_PAPER, DocType.REVIEW})
@@ -60,6 +58,12 @@ class AuthorshipRecord:
 class CitationEdge:
     citing_paper_id: str
     cited_paper_id: str
+
+
+#: Row shapes that build_index consumes and the ingest parsers yield.
+PaperRow = tuple[str, DocType, str | None]
+AuthorshipRow = tuple[str, str]
+CitationRow = tuple[str, str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,14 +108,6 @@ class FieldTaxonomy:
 
     def field_name(self, field_id: str) -> str | None:
         return self._field_names.get(field_id)
-
-    @property
-    def subfield_ids(self) -> frozenset[str]:
-        return frozenset(self._by_subfield)
-
-    @property
-    def field_ids(self) -> frozenset[str]:
-        return frozenset(self._field_names)
 
     def __len__(self) -> int:
         return len(self._by_subfield)
@@ -175,72 +171,70 @@ class CorpusIndex:
         self.dropped_self_loops = dropped_self_loops
         self.dropped_unknown_authorships = dropped_unknown_authorships
 
-    def iter_paper_records(self) -> Iterator[PaperRecord]:
-        for pid in sorted(self.papers):
-            yield self.papers[pid]
-
-    def iter_authorships(self) -> Iterator[AuthorshipRecord]:
-        for pid in sorted(self.authors_of):
-            for aid in self.authors_of[pid]:
-                yield AuthorshipRecord(pid, aid)
-
-    def iter_citations(self) -> Iterator[CitationEdge]:
-        for pid in sorted(self.citers_of):
-            for citing in self.citers_of[pid]:
-                yield CitationEdge(citing, pid)
-
 
 def build_index(
-    papers: Iterable[PaperRecord],
-    authorships: Iterable[AuthorshipRecord],
-    citations: Iterable[CitationEdge],
+    papers: Iterable[PaperRow],
+    authorships: Iterable[AuthorshipRow],
+    citations: Iterable[CitationRow],
     taxonomy: FieldTaxonomy,
 ) -> CorpusIndex:
-    """Build the cross-linked index from record streams.
+    """Build the cross-linked index from row streams.
+
+    Rows are plain tuples, the shapes the ingest parsers yield:
+
+        papers       (paper_id, DocType, subfield_id or None)
+        authorships  (paper_id, author_id)
+        citations    (citing_paper_id, cited_paper_id)
+
+    Each id field of a row is interned at most once, and never for a dropped
+    or duplicate paper row, so equal ids share one string object across all
+    maps. A PaperRecord is built only for the first row of each paper_id.
 
     Duplicate rows collapse. A paper_id appearing twice with a different
     doc_type or subfield_id is a hard error. Citation edges or authorships
     that reference unknown paper_ids are dropped and counted, so partial
     corpora stay analyzable.
     """
+    intern = sys.intern
     paper_map: dict[str, PaperRecord] = {}
-    for rec in papers:
-        pid = sys.intern(rec.paper_id)
+    for pid, doc_type, subfield_id in papers:
         existing = paper_map.get(pid)
-        if existing is not None:
-            if existing.doc_type is not rec.doc_type or existing.subfield_id != rec.subfield_id:
-                raise CorpusError(f"conflicting duplicate paper record for paper_id {pid!r}")
-            continue
-        if rec.paper_id is not pid:
-            rec = PaperRecord(pid, rec.doc_type, rec.subfield_id)
-        paper_map[pid] = rec
+        if existing is None:
+            pid = intern(pid)
+            if subfield_id is not None:
+                subfield_id = intern(subfield_id)
+            paper_map[pid] = PaperRecord(pid, doc_type, subfield_id)
+        elif existing.doc_type is not doc_type or existing.subfield_id != subfield_id:
+            raise CorpusError(f"conflicting duplicate paper record for paper_id {pid!r}")
 
     author_sets: dict[str, set[str]] = {}
     dropped_unknown_authorships = 0
-    for ship in authorships:
-        pid = sys.intern(ship.paper_id)
+    for pid, aid in authorships:
         if pid not in paper_map:
             dropped_unknown_authorships += 1
             continue
-        author_sets.setdefault(pid, set()).add(sys.intern(ship.author_id))
+        pid = intern(pid)
+        authors = author_sets.get(pid)
+        if authors is None:
+            author_sets[pid] = authors = set()
+        authors.add(intern(aid))
 
     citer_sets: dict[str, set[str]] = {}
     dropped_unknown_edges = 0
     dropped_self_loops = 0
-    n_edges = 0
-    for edge in citations:
-        citing = sys.intern(edge.citing_paper_id)
-        cited = sys.intern(edge.cited_paper_id)
+    for citing, cited in citations:
         if citing == cited:
             dropped_self_loops += 1
             continue
         if citing not in paper_map or cited not in paper_map:
             dropped_unknown_edges += 1
             continue
-        bucket = citer_sets.setdefault(cited, set())
-        if citing not in bucket:
-            bucket.add(citing)
-            n_edges += 1
+        cited = intern(cited)
+        citers = citer_sets.get(cited)
+        if citers is None:
+            citer_sets[cited] = citers = set()
+        citers.add(intern(citing))
+    n_edges = sum(map(len, citer_sets.values()))
 
     authors_of = {pid: tuple(sorted(s)) for pid, s in author_sets.items()}
     papers_by_author: dict[str, list[str]] = {}

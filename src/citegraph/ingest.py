@@ -7,10 +7,17 @@ Formats (UTF-8 with an optional BOM, RFC 4180 quoting, header row required):
     citations.csv    citing_paper_id,cited_paper_id
     taxonomy.csv     subfield_id,subfield_name,field_id,field_name
 
-Parsers are generators over one pass of the input and never materialize a
-whole file, so corpora with 1e8 rows stream in constant memory. Every
-dropped row is counted by reason in the per-file stats, and each file's
-parse time is recorded there too.
+The three record parsers are generators over one pass of the input and
+never materialize a whole file, so corpora with 1e8 rows stream in constant
+memory. They yield plain tuples, no record object per row:
+
+    parse_papers       (paper_id, DocType, subfield_id or None)
+    parse_authorships  (paper_id, author_id)
+    parse_citations    (citing_paper_id, cited_paper_id)
+
+Ids are yielded as read; corpus.build_index interns the ones it keeps.
+Every dropped row is counted by reason in the per-file stats, and each
+file's parse time is recorded there too.
 """
 
 from __future__ import annotations
@@ -24,10 +31,13 @@ from typing import IO, Iterable, Iterator
 
 from .corpus import (
     AuthorshipRecord,
+    AuthorshipRow,
     CitationEdge,
+    CitationRow,
     DocType,
     FieldTaxonomy,
     PaperRecord,
+    PaperRow,
     SubfieldInfo,
 )
 from .errors import CitegraphError
@@ -87,43 +97,40 @@ def _rows(
     """
     start = time.perf_counter()
     reader = csv.reader(_text_stream(source))
+    width = len(expected_header)
+    header = None
     try:
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise IngestError(f"line 1: malformed CSV: {exc}") from exc
+        header = next(reader, None)
         if header is None:
-            raise IngestError("line 1: missing header row")
+            raise IngestError(_named(source, "line 1: missing header row"))
         stats.rows_read += 1
         if [col.strip() for col in header] != expected_header:
             raise IngestError(
-                f"line 1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
+                _named(
+                    source,
+                    f"line 1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
+                )
             )
         empty = f"empty {' or '.join(expected_header[i] for i in required)}"
-        while True:
-            try:
-                row = next(reader)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                raise IngestError(f"line {reader.line_num}: malformed CSV: {exc}") from exc
+        for row in reader:
             if not row:
                 continue
             stats.rows_read += 1
-            if len(row) != len(expected_header):
+            if len(row) != width:
                 raise IngestError(
-                    f"line {reader.line_num}: expected {len(expected_header)} fields, got {len(row)}"
+                    _named(source, f"line {reader.line_num}: expected {width} fields, got {len(row)}")
                 )
             for i in required:
                 if not row[i]:
-                    raise IngestError(f"line {reader.line_num}: {empty}")
+                    raise IngestError(_named(source, f"line {reader.line_num}: {empty}"))
             yield row
+    except csv.Error as exc:
+        line = reader.line_num if header is not None else 1
+        raise IngestError(_named(source, f"line {line}: malformed CSV: {exc}")) from exc
     except UnicodeDecodeError as exc:
         # The decoder reads ahead in blocks, so only a lower bound on the line is known.
         bad = f"after line {reader.line_num}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
         raise IngestError(_named(source, bad)) from exc
-    except IngestError as exc:
-        raise IngestError(_named(source, str(exc))) from exc
     stats.duration_s = time.perf_counter() - start
 
 
@@ -132,33 +139,34 @@ def _named(source: IO, message: str) -> str:
     return message if name is None else f"{name}: {message}"
 
 
-def parse_papers(source: IO, stats: FileIngestStats | None = None) -> Iterator[PaperRecord]:
+def parse_papers(source: IO, stats: FileIngestStats | None = None) -> Iterator[PaperRow]:
+    """Yield `(paper_id, DocType, subfield_id or None)` per data row; duplicates pass through."""
     stats = stats if stats is not None else FileIngestStats()
     for paper_id, doc_type, subfield_id in _rows(source, PAPERS_HEADER, (0,), stats):
         stats.emitted += 1
-        yield PaperRecord(
-            paper_id=sys.intern(paper_id),
-            doc_type=DocType.from_string(doc_type),
-            subfield_id=sys.intern(subfield_id) if subfield_id else None,
-        )
+        yield paper_id, DocType.from_string(doc_type), subfield_id or None
 
 
-def parse_authorships(source: IO, stats: FileIngestStats | None = None) -> Iterator[AuthorshipRecord]:
+def parse_authorships(source: IO, stats: FileIngestStats | None = None) -> Iterator[AuthorshipRow]:
+    """Yield `(paper_id, author_id)` per data row; duplicates pass through."""
     stats = stats if stats is not None else FileIngestStats()
     for paper_id, author_id in _rows(source, AUTHORSHIPS_HEADER, (0, 1), stats):
         stats.emitted += 1
-        yield AuthorshipRecord(paper_id=sys.intern(paper_id), author_id=sys.intern(author_id))
+        yield paper_id, author_id
 
 
-def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterator[CitationEdge]:
-    """Yield citation edges; self-loop rows are dropped and counted, not errors."""
+def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterator[CitationRow]:
+    """Yield `(citing_paper_id, cited_paper_id)` per data row.
+
+    Self-loop rows are dropped and counted, not errors; duplicates pass through.
+    """
     stats = stats if stats is not None else FileIngestStats()
     for citing, cited in _rows(source, CITATIONS_HEADER, (0, 1), stats):
         if citing == cited:
             stats.drop("self_loop")
             continue
         stats.emitted += 1
-        yield CitationEdge(citing_paper_id=sys.intern(citing), cited_paper_id=sys.intern(cited))
+        yield citing, cited
 
 
 def parse_taxonomy(source: IO, stats: FileIngestStats | None = None) -> FieldTaxonomy:

@@ -478,6 +478,12 @@ def read_truth(path: str | Path) -> GroundTruth:
         if header != TRUTH_HEADER:
             raise SynthConfigError(f"{path}: expected header {','.join(TRUTH_HEADER)!r}")
         for row in reader:
+            if not row:
+                continue
+            if len(row) != len(TRUTH_HEADER):
+                raise SynthConfigError(
+                    f"{path}: line {reader.line_num}: expected {len(TRUTH_HEADER)} fields, got {len(row)}"
+                )
             labels[row[0]] = (row[1], row[2])
     return GroundTruth(labels=labels)
 

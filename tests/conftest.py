@@ -3,12 +3,9 @@ from __future__ import annotations
 import random
 
 from citegraph.corpus import (
-    AuthorshipRecord,
-    CitationEdge,
     CorpusIndex,
     DocType,
     FieldTaxonomy,
-    PaperRecord,
     SubfieldInfo,
     build_index,
 )
@@ -29,9 +26,9 @@ def tiny_taxonomy() -> FieldTaxonomy:
 def make_index(papers, authorships, citations, taxonomy=None) -> CorpusIndex:
     """Index from terse tuples: papers (pid, doc_type, subfield), ships (pid, aid), edges (citing, cited)."""
     return build_index(
-        [PaperRecord(p, d if isinstance(d, DocType) else DocType.from_string(d), s) for p, d, s in papers],
-        [AuthorshipRecord(p, a) for p, a in authorships],
-        [CitationEdge(u, v) for u, v in citations],
+        [(p, d if isinstance(d, DocType) else DocType.from_string(d), s) for p, d, s in papers],
+        list(authorships),
+        list(citations),
         taxonomy or tiny_taxonomy(),
     )
 

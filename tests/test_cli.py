@@ -152,6 +152,15 @@ def test_evaluate_prints_motif_lines(corpus_dir, run_dir, tmp_path, capsys):
     assert {r["motif"] for r in rows} == {"self_citer", "cartel_member", "hyperteam_member"}
 
 
+def test_evaluate_short_truth_row_fails_with_single_line_error(run_dir, tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("author_id,label,group_id\na1\n", encoding="utf-8")
+    rc = main(["evaluate", "--truth", str(truth), "--run-dir", str(run_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {truth}: line 2: expected 3 fields, got 1\n"
+
+
 def test_exclude_field_flag_removes_field_from_tails(corpus_dir, tmp_path):
     out = tmp_path / "excl"
     assert main(_run_args(corpus_dir, out, extra=("--exclude-field", "F04"))) == 0

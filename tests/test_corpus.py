@@ -5,8 +5,6 @@ import random
 import pytest
 
 from citegraph.corpus import (
-    AuthorshipRecord,
-    CitationEdge,
     CorpusError,
     DocType,
     FieldTaxonomy,
@@ -111,16 +109,17 @@ def test_doc_type_from_string_folds_case_and_defaults_to_other():
 
 
 def test_round_trip_reproduces_deduplicated_records():
-    papers = [
-        PaperRecord("p1", DocType.ARTICLE, "102"),
-        PaperRecord("p2", DocType.REVIEW, None),
-    ]
-    ships = [AuthorshipRecord("p1", "a1"), AuthorshipRecord("p2", "a1"), AuthorshipRecord("p1", "a2")]
-    edges = [CitationEdge("p2", "p1")]
-    idx = build_index(papers, ships + ships, edges + edges, tiny_taxonomy())
-    assert sorted(idx.iter_paper_records(), key=lambda r: r.paper_id) == papers
-    assert set(idx.iter_authorships()) == set(ships)
-    assert list(idx.iter_citations()) == edges
+    papers = [("p1", DocType.ARTICLE, "102"), ("p2", DocType.REVIEW, None)]
+    ships = [("p1", "a1"), ("p2", "a1"), ("p1", "a2")]
+    edges = [("p2", "p1")]
+    idx = build_index(papers + papers, ships + ships, edges + edges, tiny_taxonomy())
+    assert dict(idx.papers) == {
+        "p1": PaperRecord("p1", DocType.ARTICLE, "102"),
+        "p2": PaperRecord("p2", DocType.REVIEW, None),
+    }
+    assert dict(idx.authors_of) == {"p1": ("a1", "a2"), "p2": ("a1",)}
+    assert dict(idx.citers_of) == {"p1": ("p2",)}
+    assert idx.n_edges == 1
 
 
 def test_inverse_maps_and_determinism_on_random_corpora():

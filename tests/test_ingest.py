@@ -24,17 +24,17 @@ def _stream(text: str) -> io.BytesIO:
 
 def test_parse_papers_happy_path():
     recs = list(parse_papers(_stream("paper_id,doc_type,subfield_id\np1,article,102\n")))
-    assert recs == [PaperRecord("p1", DocType.ARTICLE, "102")]
+    assert recs == [("p1", DocType.ARTICLE, "102")]
 
 
 def test_parse_papers_case_fold_and_empty_subfield():
     recs = list(parse_papers(_stream("paper_id,doc_type,subfield_id\np2,Review,\n")))
-    assert recs == [PaperRecord("p2", DocType.REVIEW, None)]
+    assert recs == [("p2", DocType.REVIEW, None)]
 
 
 def test_parse_papers_unknown_type_maps_to_other():
     recs = list(parse_papers(_stream("paper_id,doc_type,subfield_id\np3,editorial,102\n")))
-    assert recs[0].doc_type is DocType.OTHER
+    assert recs[0][1] is DocType.OTHER
 
 
 def test_parse_papers_empty_id_errors_with_line_number():
@@ -74,7 +74,7 @@ def test_duplicate_authorship_rows_pass_through():
 def test_parse_citations_drops_self_loops_with_count():
     stats = FileIngestStats()
     edges = list(parse_citations(_stream("citing_paper_id,cited_paper_id\np1,p1\np2,p1\n"), stats))
-    assert edges == [CitationEdge("p2", "p1")]
+    assert edges == [("p2", "p1")]
     assert stats.dropped == {"self_loop": 1}
 
 
@@ -118,13 +118,13 @@ def test_writers_round_trip(tmp_path):
     path = tmp_path / "papers.csv"
     write_papers(str(path), papers)
     with open(path, "rb") as fh:
-        assert list(parse_papers(fh)) == papers
+        assert list(parse_papers(fh)) == [(p.paper_id, p.doc_type, p.subfield_id) for p in papers]
 
     edges = [CitationEdge("p2", "p1")]
     cpath = tmp_path / "citations.csv"
     write_citations(str(cpath), edges)
     with open(cpath, "rb") as fh:
-        assert list(parse_citations(fh)) == edges
+        assert list(parse_citations(fh)) == [(e.citing_paper_id, e.cited_paper_id) for e in edges]
 
 
 @pytest.mark.parametrize(
@@ -134,4 +134,4 @@ def test_writers_round_trip(tmp_path):
 )
 def test_utf8_bom_before_header_is_ignored(header):
     data = b"\xef\xbb\xbf" + f"{header}\r\n\"p1\",\"article\",\"102\"\r\n".encode("utf-8")
-    assert list(parse_papers(io.BytesIO(data))) == [PaperRecord("p1", DocType.ARTICLE, "102")]
+    assert list(parse_papers(io.BytesIO(data))) == [("p1", DocType.ARTICLE, "102")]

@@ -36,6 +36,16 @@ SMALL = SynthConfig(
 )
 
 
+def _index(corpus):
+    """build_index over a synth corpus, its records turned into parser-shaped tuples."""
+    return build_index(
+        [(p.paper_id, p.doc_type, p.subfield_id) for p in corpus.papers],
+        [(s.paper_id, s.author_id) for s in corpus.authorships],
+        [(e.citing_paper_id, e.cited_paper_id) for e in corpus.citations],
+        corpus.taxonomy,
+    )
+
+
 @pytest.fixture(scope="module")
 def small_corpus():
     return generate(SMALL)
@@ -43,9 +53,7 @@ def small_corpus():
 
 @pytest.fixture(scope="module")
 def small_analysis(small_corpus):
-    idx = build_index(
-        small_corpus.papers, small_corpus.authorships, small_corpus.citations, small_corpus.taxonomy
-    )
+    idx = _index(small_corpus)
     cohort = eligible_authors(idx, EligibilityConfig(seed=3))
     fields = assign_fields(idx, sorted(cohort), 3)
     metrics = compute_all_metrics(idx, cohort, field_assignments=fields)
@@ -81,9 +89,7 @@ def test_labels_partition_author_set(small_corpus):
 
 
 def test_generated_corpus_indexes_cleanly(small_corpus):
-    idx = build_index(
-        small_corpus.papers, small_corpus.authorships, small_corpus.citations, small_corpus.taxonomy
-    )
+    idx = _index(small_corpus)
     assert idx.dropped_unknown_edges == 0
     assert idx.dropped_self_loops == 0
     assert idx.dropped_unknown_authorships == 0
