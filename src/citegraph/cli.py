@@ -135,6 +135,7 @@ def _peak_rss_mb() -> float | None:
 
 def run_pipeline(cfg: RunConfig) -> Path:
     """Execute the full pipeline; returns the output directory."""
+    specs = cfg.tail_specs()  # rejects a bad percentile before any work is done
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
@@ -180,7 +181,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     # output file set never depends on the data.
     hist_overflow: dict[str, dict[str, int]] = {}
     tail_reports: dict[str, stats_mod.TailReport] = {}
-    for metric, spec in cfg.tail_specs().items():
+    for metric, spec in specs.items():
         tail_report = stats_mod.tail_members(all_metrics, spec) if all_metrics else None
         members = sorted(tail_report.members) if tail_report else []
         allocation = tail_report.field_allocation if tail_report else ()
@@ -232,7 +233,6 @@ def run_pipeline(cfg: RunConfig) -> Path:
 
     cooccur_rows = []
     if all_metrics:
-        specs = cfg.tail_specs()
         for name_a, name_b in COOCCURRENCE_PAIRS:
             table = stats_mod.cooccurrence(all_metrics, specs[name_a], specs[name_b])
             cooccur_rows.append(

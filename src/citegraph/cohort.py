@@ -69,13 +69,15 @@ def assign_field(index: CorpusIndex, author_id: str, seed: int) -> tuple[str, st
     the seeded draw. The subfield is chosen the same way within the winning
     field.
     """
-    return _vote_field(index, author_id, full_papers(index, author_id), seed)
+    full = full_papers(index, author_id)
+    return _vote_field(index, author_id, full, citation_counts(index, full), seed)
 
 
 def _vote_field(
-    index: CorpusIndex, author_id: str, full: tuple[str, ...], seed: int
+    index: CorpusIndex, author_id: str, full: tuple[str, ...], counts: list[int], seed: int
 ) -> tuple[str, str] | None:
-    """assign_field over the author's full papers `full`, already looked up."""
+    """assign_field over the author's full papers `full` and their citation
+    `counts`, both already looked up."""
     taxonomy = index.taxonomy
     papers = index.papers
     field_papers: dict[str, int] = {}
@@ -83,14 +85,13 @@ def _vote_field(
     by_field_subfield: dict[str, dict[str, int]] = {}
     by_field_subfield_cites: dict[str, dict[str, int]] = {}
 
-    for p in full:
+    for p, cites in zip(full, counts):
         subfield_id = papers[p].subfield_id
         if subfield_id is None:
             continue
         info = taxonomy.lookup(subfield_id)
         if info is None:
             continue
-        cites = len(index.citers_of.get(p, ()))
         fid = info.field_id
         field_papers[fid] = field_papers.get(fid, 0) + 1
         field_citations[fid] = field_citations.get(fid, 0) + cites
@@ -132,9 +133,10 @@ def eligible_authors(index: CorpusIndex, cfg: EligibilityConfig) -> dict[str, tu
         full = full_papers(index, author_id)
         if len(full) <= cfg.min_full_papers:
             continue
-        if sum(citation_counts(index, full)) < cfg.min_citations:
+        counts = citation_counts(index, full)
+        if sum(counts) < cfg.min_citations:
             continue
-        assigned = _vote_field(index, author_id, full, cfg.seed)
+        assigned = _vote_field(index, author_id, full, counts, cfg.seed)
         if assigned is not None:
             selected[author_id] = assigned
     return selected

@@ -13,6 +13,12 @@ A citing paper that references k of the author's full papers contributes k
 citations. Citing papers may be of any document type; only full papers of
 the examined author receive countable citations.
 
+a50pc and a50 work over distinct author tuples rather than over every
+(paper, author) pair: papers with the same author tuple are merged and their
+weights summed, which on large teams collapses most of the work. a50pc is a
+lazy greedy max-coverage over those tuples (Minoux 1978); a50pc_oracle is the
+naive reference it is cross-checked against.
+
 All operations are pure reads over the index, so each author's values do not
 depend on which other authors are computed, or in what order.
 """
@@ -20,8 +26,10 @@ depend on which other authors are computed, or in what order.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .corpus import CorpusIndex, is_full_paper
@@ -96,15 +104,6 @@ def format_2dp(value: Fraction | int) -> str:
     return f"{q // 100}.{q % 100:02d}"
 
 
-def _citing_weights(index: CorpusIndex, author_id: str) -> dict[str, int]:
-    """Map each citing paper to the number of the author's full papers it cites."""
-    weights: dict[str, int] = {}
-    for p in full_papers(index, author_id):
-        for u in index.citers_of.get(p, ()):
-            weights[u] = weights.get(u, 0) + 1
-    return weights
-
-
 def a50pc_greedy(index: CorpusIndex, author_id: str) -> int:
     """Citing authors needed to account for at least half of the received citations.
 
@@ -116,55 +115,66 @@ def a50pc_greedy(index: CorpusIndex, author_id: str) -> int:
     authors account for at least 50% of the citations, by the exact integer
     test 2 * explained >= citations.
 
-    Uses a lazy max-heap over incrementally maintained contributions; see
-    a50pc_oracle for the from-scratch reference used to cross-check it.
+    Citing papers with the same author tuple are merged into one group whose
+    weight is their summed citation edges; papers without authors join no
+    group. Selection is then a lazy greedy max-coverage over the groups
+    (Minoux 1978, "Accelerated greedy algorithms for maximizing submodular
+    set functions"): a heap holds one (-contribution, author) entry per
+    candidate, consuming a group only lowers its members' contributions, and
+    a popped entry whose value has gone stale is pushed back with its current
+    value instead of being selected. Both steps are exact:
+
+    - any selection consumes all papers of a group together, and they add the
+      same amount to each candidate's gain, so merging changes no selection;
+    - contributions only fall, so a popped entry whose value is current ties
+      or beats every other candidate, and ties still go to the smaller id.
+
+    See a50pc_oracle for the from-scratch reference used to cross-check it.
     """
-    weights = _citing_weights(index, author_id)
+    citers_of = index.citers_of
+    full = full_papers(index, author_id)
+    weights = Counter(chain.from_iterable(citers_of.get(p, ()) for p in full))
     total = sum(weights.values())
     if total == 0:
         raise UndefinedMetricError(f"author {author_id!r} has no citations")
 
-    contrib: dict[str, int] = {}
-    papers_by_author: dict[str, list[str]] = {}
     authors_of = index.authors_of
-    attributed = 0
+    groups: dict[tuple[str, ...], int] = {}
     for u, k in weights.items():
-        candidates = authors_of.get(u, ())
-        if candidates:
-            attributed += k
-        for x in candidates:
-            contrib[x] = contrib.get(x, 0) + k
-            papers_by_author.setdefault(x, []).append(u)
+        team = authors_of.get(u)
+        if team:
+            groups[team] = groups.get(team, 0) + k
+    attributed = sum(groups.values())
     if 2 * attributed < total:
         raise UndefinedMetricError(
             f"author {author_id!r}: citing papers without recorded authors carry "
             f"{total - attributed} of {total} citations; half cannot be attributed"
         )
 
+    contrib: dict[str, int] = {}
+    groups_of: dict[str, list[tuple[str, ...]]] = {}
+    for team, k in groups.items():
+        for x in team:
+            contrib[x] = contrib.get(x, 0) + k
+            groups_of.setdefault(x, []).append(team)
+
     heap = [(-c, x) for x, c in contrib.items()]
     heapq.heapify(heap)
-    consumed: set[str] = set()
     explained = 0
     selections = 0
     while 2 * explained < total:
-        while True:
-            neg, x = heapq.heappop(heap)
-            current = contrib.get(x)
-            if current is not None and current == -neg:
-                break
-        gain = contrib.pop(x)
-        explained += gain
+        neg, x = heapq.heappop(heap)
+        current = contrib[x]
+        if current != -neg:
+            heapq.heappush(heap, (-current, x))
+            continue
+        explained += current
         selections += 1
-        for u in papers_by_author.pop(x):
-            if u in consumed:
-                continue
-            consumed.add(u)
-            k = weights[u]
-            for y in authors_of.get(u, ()):
-                if y in contrib:
-                    updated = contrib[y] - k
-                    contrib[y] = updated
-                    heapq.heappush(heap, (-updated, y))
+        for team in groups_of[x]:
+            k = groups.pop(team, 0)
+            if k:
+                for y in team:
+                    contrib[y] -= k
     return selections
 
 
@@ -212,13 +222,18 @@ def a50pc_oracle(index: CorpusIndex, author_id: str) -> int:
 
 
 def shared_coauthor_counts(index: CorpusIndex, author_id: str) -> dict[str, int]:
-    """Full papers co-authored with each distinct other author."""
-    shared: dict[str, int] = {}
-    for p in full_papers(index, author_id):
-        for other in index.authors_of.get(p, ()):
-            if other != author_id:
-                shared[other] = shared.get(other, 0) + 1
-    return shared
+    """Full papers co-authored with each distinct other author.
+
+    Papers with the same author tuple are counted together, so each distinct
+    tuple is expanded once.
+    """
+    authors_of = index.authors_of
+    shared: Counter[str] = Counter()
+    for team, n in Counter(authors_of.get(p, ()) for p in full_papers(index, author_id)).items():
+        for other in team:
+            shared[other] += n
+    shared.pop(author_id, None)
+    return dict(shared)
 
 
 def a50_coauthors(index: CorpusIndex, author_id: str, threshold: int = 50) -> int:

@@ -472,6 +472,7 @@ def write_truth(path: str | Path, truth: GroundTruth) -> int:
 
 def read_truth(path: str | Path) -> GroundTruth:
     labels: dict[str, tuple[str, str]] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -484,6 +485,12 @@ def read_truth(path: str | Path) -> GroundTruth:
                 raise SynthConfigError(
                     f"{path}: line {reader.line_num}: expected {len(TRUTH_HEADER)} fields, got {len(row)}"
                 )
+            if row[0] in first_line:
+                raise SynthConfigError(
+                    f"{path}: line {reader.line_num}: duplicate author_id {row[0]!r} "
+                    f"(first on line {first_line[row[0]]})"
+                )
+            first_line[row[0]] = reader.line_num
             labels[row[0]] = (row[1], row[2])
     return GroundTruth(labels=labels)
 

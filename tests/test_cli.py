@@ -161,6 +161,17 @@ def test_evaluate_short_truth_row_fails_with_single_line_error(run_dir, tmp_path
     assert err == f"error: {truth}: line 2: expected 3 fields, got 1\n"
 
 
+def test_evaluate_duplicate_truth_author_fails_with_single_line_error(run_dir, tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text(
+        "author_id,label,group_id\nh000000,self_citer,g1\nh000000,background,\n", encoding="utf-8"
+    )
+    rc = main(["evaluate", "--truth", str(truth), "--run-dir", str(run_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {truth}: line 3: duplicate author_id 'h000000' (first on line 2)\n"
+
+
 def test_exclude_field_flag_removes_field_from_tails(corpus_dir, tmp_path):
     out = tmp_path / "excl"
     assert main(_run_args(corpus_dir, out, extra=("--exclude-field", "F04"))) == 0
@@ -331,6 +342,14 @@ def test_pct_flag_is_exact(pct, n, rank):
 
     args = build_parser().parse_args(_run_args(Path("c"), Path("o"), ("--pct", pct)))
     assert percentile_threshold(range(1, n + 1), args.pct) == rank
+
+
+@pytest.mark.parametrize("pct", ["0", "60"])
+def test_pct_out_of_range_fails_before_any_work(corpus_dir, tmp_path, capsys, pct):
+    out = tmp_path / "out"
+    assert main(_run_args(corpus_dir, out, ("--pct", pct))) == 2
+    assert capsys.readouterr().err == "error: percentile must be in (0, 50]\n"
+    assert not (out / "metrics.csv").exists()
 
 
 def test_pct_flag_rejects_non_numbers(capsys):
