@@ -34,7 +34,7 @@ from . import metrics as metrics_mod
 from . import stats as stats_mod
 from . import synth as synth_mod
 from .corpus import CorpusIndex, build_index
-from .errors import CitegraphError
+from .errors import CitegraphError, not_utf8
 
 METRICS_CSV_HEADER = [
     "author_id",
@@ -413,8 +413,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             continue
         with open(tail_path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            next(reader, None)
-            members[metric] = frozenset(row[0] for row in reader if row)
+            try:
+                next(reader, None)
+                members[metric] = frozenset(row[0] for row in reader if row)
+            except UnicodeDecodeError as exc:
+                raise CitegraphError(f"{tail_path}: {not_utf8(exc, reader.line_num)}") from exc
     if not members:
         raise CitegraphError(f"no tail_<metric>.csv files found in {run_dir}")
     results = synth_mod.evaluate_detection(truth, members)

@@ -7,8 +7,10 @@ read-only after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import gc
 import logging
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -186,15 +188,38 @@ def build_index(
         authorships  (paper_id, author_id)
         citations    (citing_paper_id, cited_paper_id)
 
-    Each id field of a row is interned at most once, and never for a dropped
-    or duplicate paper row, so equal ids share one string object across all
-    maps. A PaperRecord is built only for the first row of each paper_id.
+    A PaperRecord is built only for the first row of each paper_id, and its
+    paper_id is interned then. Every later paper id in an authorship or
+    citation row costs one lookup in the paper map, and the record it finds
+    supplies the canonical id string, so all maps share one string object per
+    paper. Each kept authorship interns its author_id; dropped rows intern
+    nothing.
 
     Duplicate rows collapse. A paper_id appearing twice with a different
     doc_type or subfield_id is a hard error. Citation edges or authorships
     that reference unknown paper_ids are dropped and counted, so partial
     corpora stay analyzable.
+
+    The build allocates hundreds of thousands of sets and records that all
+    live until the index is dropped, so the cyclic garbage collector is paused
+    while it runs: each collection would re-traverse them and find nothing to
+    free. The collector is re-enabled afterwards only if it was enabled before.
     """
+    collector_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_index(papers, authorships, citations, taxonomy)
+    finally:
+        if collector_was_enabled:
+            gc.enable()
+
+
+def _build_index(
+    papers: Iterable[PaperRow],
+    authorships: Iterable[AuthorshipRow],
+    citations: Iterable[CitationRow],
+    taxonomy: FieldTaxonomy,
+) -> CorpusIndex:
     intern = sys.intern
     paper_map: dict[str, PaperRecord] = {}
     for pid, doc_type, subfield_id in papers:
@@ -206,34 +231,30 @@ def build_index(
             paper_map[pid] = PaperRecord(pid, doc_type, subfield_id)
         elif existing.doc_type is not doc_type or existing.subfield_id != subfield_id:
             raise CorpusError(f"conflicting duplicate paper record for paper_id {pid!r}")
+    paper_of = paper_map.get
 
-    author_sets: dict[str, set[str]] = {}
+    author_sets: defaultdict[str, set[str]] = defaultdict(set)
     dropped_unknown_authorships = 0
     for pid, aid in authorships:
-        if pid not in paper_map:
+        paper = paper_of(pid)
+        if paper is None:
             dropped_unknown_authorships += 1
             continue
-        pid = intern(pid)
-        authors = author_sets.get(pid)
-        if authors is None:
-            author_sets[pid] = authors = set()
-        authors.add(intern(aid))
+        author_sets[paper.paper_id].add(intern(aid))
 
-    citer_sets: dict[str, set[str]] = {}
+    citer_sets: defaultdict[str, set[str]] = defaultdict(set)
     dropped_unknown_edges = 0
     dropped_self_loops = 0
     for citing, cited in citations:
         if citing == cited:
             dropped_self_loops += 1
             continue
-        if citing not in paper_map or cited not in paper_map:
+        citing_paper = paper_of(citing)
+        cited_paper = paper_of(cited)
+        if citing_paper is None or cited_paper is None:
             dropped_unknown_edges += 1
             continue
-        cited = intern(cited)
-        citers = citer_sets.get(cited)
-        if citers is None:
-            citer_sets[cited] = citers = set()
-        citers.add(intern(citing))
+        citer_sets[cited_paper.paper_id].add(citing_paper.paper_id)
     n_edges = sum(map(len, citer_sets.values()))
 
     authors_of = {pid: tuple(sorted(s)) for pid, s in author_sets.items()}

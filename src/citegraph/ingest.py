@@ -15,9 +15,17 @@ memory. They yield plain tuples, no record object per row:
     parse_authorships  (paper_id, author_id)
     parse_citations    (citing_paper_id, cited_paper_id)
 
+Each parser takes a csv reader whose header has been checked, then runs a
+single `for row in reader` loop that checks the width (by unpacking the
+row), the required ids and, for citations, drops self loops, all inline:
+one generator frame per row. Row counts, dropped rows by reason among
+them, are kept in locals and written to the per-file stats when the loop
+ends or the generator is closed; the file's parse time, from header to last
+row, is recorded there too. Every
+IngestError carries the line and, when the source has a name, starts with
+it.
+
 Ids are yielded as read; corpus.build_index interns the ones it keeps.
-Every dropped row is counted by reason in the per-file stats, and each
-file's parse time is recorded there too.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from .corpus import (
     PaperRow,
     SubfieldInfo,
 )
-from .errors import CitegraphError
+from .errors import CitegraphError, not_utf8
 
 PAPERS_HEADER = ["paper_id", "doc_type", "subfield_id"]
 AUTHORSHIPS_HEADER = ["paper_id", "author_id"]
@@ -65,9 +73,6 @@ class FileIngestStats:
     dropped: dict[str, int] = field(default_factory=dict)
     duration_s: float = 0.0
 
-    def drop(self, reason: str) -> None:
-        self.dropped[reason] = self.dropped.get(reason, 0) + 1
-
     @property
     def n_dropped(self) -> int:
         return sum(self.dropped.values())
@@ -87,51 +92,37 @@ def _text_stream(source: IO) -> IO[str]:
     return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
 
 
-def _rows(
-    source: IO, expected_header: list[str], required: tuple[int, ...], stats: FileIngestStats
-) -> Iterator[list[str]]:
-    """Data rows of one CSV file, checked for width and non-empty `required` columns.
-
-    Every IngestError carries the line and, when the source has a name, starts
-    with it.
-    """
-    start = time.perf_counter()
+def _header_checked_reader(source: IO, expected_header: list[str]) -> Iterator[list[str]]:
+    """A csv reader over `source` whose header row has been read and checked."""
     reader = csv.reader(_text_stream(source))
-    width = len(expected_header)
-    header = None
     try:
         header = next(reader, None)
-        if header is None:
-            raise IngestError(_named(source, "line 1: missing header row"))
-        stats.rows_read += 1
-        if [col.strip() for col in header] != expected_header:
-            raise IngestError(
-                _named(
-                    source,
-                    f"line 1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
-                )
-            )
-        empty = f"empty {' or '.join(expected_header[i] for i in required)}"
-        for row in reader:
-            if not row:
-                continue
-            stats.rows_read += 1
-            if len(row) != width:
-                raise IngestError(
-                    _named(source, f"line {reader.line_num}: expected {width} fields, got {len(row)}")
-                )
-            for i in required:
-                if not row[i]:
-                    raise IngestError(_named(source, f"line {reader.line_num}: {empty}"))
-            yield row
     except csv.Error as exc:
-        line = reader.line_num if header is not None else 1
-        raise IngestError(_named(source, f"line {line}: malformed CSV: {exc}")) from exc
+        raise _malformed(source, exc, 1) from exc
     except UnicodeDecodeError as exc:
-        # The decoder reads ahead in blocks, so only a lower bound on the line is known.
-        bad = f"after line {reader.line_num}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
-        raise IngestError(_named(source, bad)) from exc
-    stats.duration_s = time.perf_counter() - start
+        raise _malformed(source, exc, reader.line_num) from exc
+    if header is None:
+        raise IngestError(_named(source, "line 1: missing header row"))
+    if [col.strip() for col in header] != expected_header:
+        raise IngestError(
+            _named(
+                source,
+                f"line 1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
+            )
+        )
+    return reader
+
+
+def _malformed(source: IO, exc: csv.Error | UnicodeDecodeError, line_num: int) -> IngestError:
+    if isinstance(exc, UnicodeDecodeError):
+        message = not_utf8(exc, line_num)
+    else:
+        message = f"line {line_num}: malformed CSV: {exc}"
+    return IngestError(_named(source, message))
+
+
+def _bad_row(source: IO, reader, problem: str) -> IngestError:
+    return IngestError(_named(source, f"line {reader.line_num}: {problem}"))
 
 
 def _named(source: IO, message: str) -> str:
@@ -142,17 +133,58 @@ def _named(source: IO, message: str) -> str:
 def parse_papers(source: IO, stats: FileIngestStats | None = None) -> Iterator[PaperRow]:
     """Yield `(paper_id, DocType, subfield_id or None)` per data row; duplicates pass through."""
     stats = stats if stats is not None else FileIngestStats()
-    for paper_id, doc_type, subfield_id in _rows(source, PAPERS_HEADER, (0,), stats):
-        stats.emitted += 1
-        yield paper_id, DocType.from_string(doc_type), subfield_id or None
+    start = time.perf_counter()
+    reader = _header_checked_reader(source, PAPERS_HEADER)
+    doc_type_of = DocType.from_string
+    rows_read = 1
+    emitted = 0
+    try:
+        for row in reader:
+            try:
+                paper_id, doc_type, subfield_id = row
+            except ValueError:
+                if not row:
+                    continue
+                raise _bad_row(source, reader, f"expected 3 fields, got {len(row)}") from None
+            rows_read += 1
+            if not paper_id:
+                raise _bad_row(source, reader, "empty paper_id")
+            emitted += 1
+            yield paper_id, doc_type_of(doc_type), subfield_id or None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _malformed(source, exc, reader.line_num) from exc
+    finally:
+        stats.rows_read += rows_read
+        stats.emitted += emitted
+    stats.duration_s = time.perf_counter() - start
 
 
 def parse_authorships(source: IO, stats: FileIngestStats | None = None) -> Iterator[AuthorshipRow]:
     """Yield `(paper_id, author_id)` per data row; duplicates pass through."""
     stats = stats if stats is not None else FileIngestStats()
-    for paper_id, author_id in _rows(source, AUTHORSHIPS_HEADER, (0, 1), stats):
-        stats.emitted += 1
-        yield paper_id, author_id
+    start = time.perf_counter()
+    reader = _header_checked_reader(source, AUTHORSHIPS_HEADER)
+    rows_read = 1
+    emitted = 0
+    try:
+        for row in reader:
+            try:
+                paper_id, author_id = row
+            except ValueError:
+                if not row:
+                    continue
+                raise _bad_row(source, reader, f"expected 2 fields, got {len(row)}") from None
+            rows_read += 1
+            if not paper_id or not author_id:
+                raise _bad_row(source, reader, "empty paper_id or author_id")
+            emitted += 1
+            yield paper_id, author_id
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _malformed(source, exc, reader.line_num) from exc
+    finally:
+        stats.rows_read += rows_read
+        stats.emitted += emitted
+    stats.duration_s = time.perf_counter() - start
 
 
 def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterator[CitationRow]:
@@ -161,29 +193,68 @@ def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterato
     Self-loop rows are dropped and counted, not errors; duplicates pass through.
     """
     stats = stats if stats is not None else FileIngestStats()
-    for citing, cited in _rows(source, CITATIONS_HEADER, (0, 1), stats):
-        if citing == cited:
-            stats.drop("self_loop")
-            continue
-        stats.emitted += 1
-        yield citing, cited
+    start = time.perf_counter()
+    reader = _header_checked_reader(source, CITATIONS_HEADER)
+    rows_read = 1
+    emitted = 0
+    self_loops = 0
+    try:
+        for row in reader:
+            try:
+                citing, cited = row
+            except ValueError:
+                if not row:
+                    continue
+                raise _bad_row(source, reader, f"expected 2 fields, got {len(row)}") from None
+            rows_read += 1
+            if not citing or not cited:
+                raise _bad_row(source, reader, "empty citing_paper_id or cited_paper_id")
+            if citing == cited:
+                self_loops += 1
+                continue
+            emitted += 1
+            yield citing, cited
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _malformed(source, exc, reader.line_num) from exc
+    finally:
+        stats.rows_read += rows_read
+        stats.emitted += emitted
+        if self_loops:
+            stats.dropped["self_loop"] = stats.dropped.get("self_loop", 0) + self_loops
+    stats.duration_s = time.perf_counter() - start
 
 
 def parse_taxonomy(source: IO, stats: FileIngestStats | None = None) -> FieldTaxonomy:
     stats = stats if stats is not None else FileIngestStats()
+    start = time.perf_counter()
+    reader = _header_checked_reader(source, TAXONOMY_HEADER)
     entries = []
-    for subfield_id, subfield_name, field_id, field_name in _rows(
-        source, TAXONOMY_HEADER, (0, 2), stats
-    ):
-        stats.emitted += 1
-        entries.append(
-            SubfieldInfo(
-                subfield_id=sys.intern(subfield_id),
-                subfield_name=subfield_name,
-                field_id=sys.intern(field_id),
-                field_name=field_name,
+    rows_read = 1
+    try:
+        for row in reader:
+            try:
+                subfield_id, subfield_name, field_id, field_name = row
+            except ValueError:
+                if not row:
+                    continue
+                raise _bad_row(source, reader, f"expected 4 fields, got {len(row)}") from None
+            rows_read += 1
+            if not subfield_id or not field_id:
+                raise _bad_row(source, reader, "empty subfield_id or field_id")
+            entries.append(
+                SubfieldInfo(
+                    subfield_id=sys.intern(subfield_id),
+                    subfield_name=subfield_name,
+                    field_id=sys.intern(field_id),
+                    field_name=field_name,
+                )
             )
-        )
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _malformed(source, exc, reader.line_num) from exc
+    finally:
+        stats.rows_read += rows_read
+        stats.emitted += len(entries)
+    stats.duration_s = time.perf_counter() - start
     return FieldTaxonomy(entries)
 
 

@@ -45,7 +45,7 @@ from .corpus import (
     PaperRecord,
     SubfieldInfo,
 )
-from .errors import CitegraphError
+from .errors import CitegraphError, not_utf8
 from .ingest import write_authorships, write_citations, write_papers, write_taxonomy
 from .stats import TailReport
 
@@ -475,23 +475,26 @@ def read_truth(path: str | Path) -> GroundTruth:
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRUTH_HEADER:
-            raise SynthConfigError(f"{path}: expected header {','.join(TRUTH_HEADER)!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(TRUTH_HEADER):
-                raise SynthConfigError(
-                    f"{path}: line {reader.line_num}: expected {len(TRUTH_HEADER)} fields, got {len(row)}"
-                )
-            if row[0] in first_line:
-                raise SynthConfigError(
-                    f"{path}: line {reader.line_num}: duplicate author_id {row[0]!r} "
-                    f"(first on line {first_line[row[0]]})"
-                )
-            first_line[row[0]] = reader.line_num
-            labels[row[0]] = (row[1], row[2])
+        try:
+            header = next(reader, None)
+            if header != TRUTH_HEADER:
+                raise SynthConfigError(f"{path}: expected header {','.join(TRUTH_HEADER)!r}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(TRUTH_HEADER):
+                    raise SynthConfigError(
+                        f"{path}: line {reader.line_num}: expected {len(TRUTH_HEADER)} fields, got {len(row)}"
+                    )
+                if row[0] in first_line:
+                    raise SynthConfigError(
+                        f"{path}: line {reader.line_num}: duplicate author_id {row[0]!r} "
+                        f"(first on line {first_line[row[0]]})"
+                    )
+                first_line[row[0]] = reader.line_num
+                labels[row[0]] = (row[1], row[2])
+        except UnicodeDecodeError as exc:
+            raise SynthConfigError(f"{path}: {not_utf8(exc, reader.line_num)}") from exc
     return GroundTruth(labels=labels)
 
 

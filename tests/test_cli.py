@@ -172,6 +172,30 @@ def test_evaluate_duplicate_truth_author_fails_with_single_line_error(run_dir, t
     assert err == f"error: {truth}: line 3: duplicate author_id 'h000000' (first on line 2)\n"
 
 
+def test_evaluate_non_utf8_truth_fails_with_single_line_error(run_dir, tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(b"author_id,label,group_id\nh0\xff,self_citer,g1\n")
+    rc = main(["evaluate", "--truth", str(truth), "--run-dir", str(run_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {truth}: after line 0: byte 0xff is not valid UTF-8\n"
+
+
+def test_evaluate_non_utf8_tail_file_fails_with_single_line_error(
+    corpus_dir, run_dir, tmp_path, capsys
+):
+    bad_run = tmp_path / "run"
+    bad_run.mkdir()
+    for path in run_dir.glob("tail_*.csv"):
+        (bad_run / path.name).write_bytes(path.read_bytes())
+    tail = bad_run / "tail_a50.csv"
+    tail.write_bytes(tail.read_bytes() + b"h\xff,60\n")
+    rc = main(["evaluate", "--truth", str(corpus_dir / "truth.csv"), "--run-dir", str(bad_run)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tail}: after line 0: byte 0xff is not valid UTF-8\n"
+
+
 def test_exclude_field_flag_removes_field_from_tails(corpus_dir, tmp_path):
     out = tmp_path / "excl"
     assert main(_run_args(corpus_dir, out, extra=("--exclude-field", "F04"))) == 0
@@ -217,9 +241,15 @@ def test_empty_cohort_still_writes_full_report_set(tmp_path):
 
 def test_outputs_identical_across_separate_processes(tmp_path):
     """Fresh interpreters get different hash seeds; outputs must not care."""
+    import os
     import subprocess
     import sys
 
+    # A bare `python -m pytest` finds citegraph through pytest's pythonpath
+    # setting, which child interpreters do not inherit.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
     synth_args = [
         sys.executable, "-m", "citegraph.cli", "synth",
         "--seed", "31", "--background", "80", "--established-fraction", "0.1",
@@ -227,7 +257,9 @@ def test_outputs_identical_across_separate_processes(tmp_path):
     ]
     dirs = [tmp_path / "proc_a", tmp_path / "proc_b"]
     for d in dirs:
-        subprocess.run(synth_args + ["--out", str(d / "corpus")], check=True, capture_output=True)
+        subprocess.run(
+            synth_args + ["--out", str(d / "corpus")], check=True, capture_output=True, env=env
+        )
         run_args = [
             sys.executable, "-m", "citegraph.cli", "run",
             "--papers", str(d / "corpus" / "papers.csv"),
@@ -237,7 +269,7 @@ def test_outputs_identical_across_separate_processes(tmp_path):
             "--out", str(d / "run"),
             "--min-citations", "500",
         ]
-        subprocess.run(run_args, check=True, capture_output=True)
+        subprocess.run(run_args, check=True, capture_output=True, env=env)
 
     for name in ("papers.csv", "authorships.csv", "citations.csv", "taxonomy.csv", "truth.csv"):
         assert (dirs[0] / "corpus" / name).read_bytes() == (dirs[1] / "corpus" / name).read_bytes()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -170,3 +171,23 @@ def test_taxonomy_lookup():
     assert tax.field_name("F06") == "Clinical Medicine"
     assert tax.lookup("999") is None
     assert len(tax) == 5
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_build_index_leaves_collector_as_found(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        make_index(papers=[("p1", "article", "102")], authorships=[("p1", "a1")], citations=[])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_build_index_reenables_collector_after_corpus_error():
+    assert gc.isenabled()
+    with pytest.raises(CorpusError):
+        make_index(
+            papers=[("p1", "article", "102"), ("p1", "review", "102")], authorships=[], citations=[]
+        )
+    assert gc.isenabled()

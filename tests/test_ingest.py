@@ -135,3 +135,121 @@ def test_writers_round_trip(tmp_path):
 def test_utf8_bom_before_header_is_ignored(header):
     data = b"\xef\xbb\xbf" + f"{header}\r\n\"p1\",\"article\",\"102\"\r\n".encode("utf-8")
     assert list(parse_papers(io.BytesIO(data))) == [("p1", DocType.ARTICLE, "102")]
+
+
+def _named_stream(name: str, data: bytes) -> io.BytesIO:
+    stream = io.BytesIO(data)
+    stream.name = name
+    return stream
+
+
+def _consume(parse, stream) -> None:
+    result = parse(stream)
+    if parse is not parse_taxonomy:
+        list(result)
+
+
+#: A quote opened mid-file swallows the rest into one field until the csv
+#: module's field size limit trips.
+UNTERMINATED_QUOTE = ("citing_paper_id,cited_paper_id\np1,p2\n\"p3,p4\n" + "p5,p6\n" * 22_000).encode()
+
+#: (parser, file name, bytes, the full IngestError text).
+MALFORMED_INPUTS = {
+    "missing_header": (parse_papers, "papers.csv", b"", "papers.csv: line 1: missing header row"),
+    "wrong_header": (
+        parse_authorships,
+        "authorships.csv",
+        b"paper,author\np1,a1\n",
+        "authorships.csv: line 1: expected header 'paper_id,author_id', got 'paper,author'",
+    ),
+    "width_papers": (
+        parse_papers,
+        "papers.csv",
+        b"paper_id,doc_type,subfield_id\np1,article,102\np2,article\n",
+        "papers.csv: line 3: expected 3 fields, got 2",
+    ),
+    "width_authorships": (
+        parse_authorships,
+        "authorships.csv",
+        b"paper_id,author_id\np1,a1,x\n",
+        "authorships.csv: line 2: expected 2 fields, got 3",
+    ),
+    "width_citations": (
+        parse_citations,
+        "citations.csv",
+        b"citing_paper_id,cited_paper_id\np1\n",
+        "citations.csv: line 2: expected 2 fields, got 1",
+    ),
+    "width_taxonomy": (
+        parse_taxonomy,
+        "taxonomy.csv",
+        b"subfield_id,subfield_name,field_id,field_name\n102,nuclear,F18\n",
+        "taxonomy.csv: line 2: expected 4 fields, got 3",
+    ),
+    "empty_papers": (
+        parse_papers,
+        "papers.csv",
+        b"paper_id,doc_type,subfield_id\n,article,102\n",
+        "papers.csv: line 2: empty paper_id",
+    ),
+    "empty_authorships": (
+        parse_authorships,
+        "authorships.csv",
+        b"paper_id,author_id\np1,\n",
+        "authorships.csv: line 2: empty paper_id or author_id",
+    ),
+    "empty_citations": (
+        parse_citations,
+        "citations.csv",
+        b"citing_paper_id,cited_paper_id\n,p1\n",
+        "citations.csv: line 2: empty citing_paper_id or cited_paper_id",
+    ),
+    "empty_taxonomy": (
+        parse_taxonomy,
+        "taxonomy.csv",
+        b"subfield_id,subfield_name,field_id,field_name\n102,nuclear,,Physics\n",
+        "taxonomy.csv: line 2: empty subfield_id or field_id",
+    ),
+    "unterminated_quote": (
+        parse_citations,
+        "citations.csv",
+        UNTERMINATED_QUOTE,
+        "citations.csv: line 21848: malformed CSV: field larger than field limit (131072)",
+    ),
+    "non_utf8": (
+        parse_authorships,
+        "authorships.csv",
+        b"paper_id,author_id\np1,a1\np\xff2,a2\n",
+        "authorships.csv: after line 0: byte 0xff is not valid UTF-8",
+    ),
+    "after_two_line_quoted_field": (
+        parse_papers,
+        "papers.csv",
+        b'paper_id,doc_type,subfield_id\n"p\n1",article,102\np2,article,102,extra\n',
+        "papers.csv: line 4: expected 3 fields, got 4",
+    ),
+    "after_blank_lines": (
+        parse_citations,
+        "citations.csv",
+        b"citing_paper_id,cited_paper_id\n\n\np1,p2\n\np3\n",
+        "citations.csv: line 6: expected 2 fields, got 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_ingest_error_messages_are_exact(case):
+    parse, name, data, message = MALFORMED_INPUTS[case]
+    with pytest.raises(IngestError) as exc:
+        _consume(parse, _named_stream(name, data))
+    assert str(exc.value) == message
+
+
+def test_stats_are_recorded_when_parser_is_closed_early():
+    stats = FileIngestStats()
+    text = "citing_paper_id,cited_paper_id\np1,p1\np2,p1\np3,p1\np4,p1\n"
+    rows = parse_citations(_stream(text), stats)
+    assert [next(rows), next(rows)] == [("p2", "p1"), ("p3", "p1")]
+    rows.close()
+    assert (stats.rows_read, stats.emitted, stats.dropped) == (4, 2, {"self_loop": 1})
+    assert stats.rows_read == stats.emitted + stats.n_dropped + 1
