@@ -145,6 +145,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     t = time.perf_counter()
     index = _parse_inputs(cfg, report)
     timings["ingest_and_index"] = time.perf_counter() - t
+    timings["index_finalise"] = index.finalise_s  # part of ingest_and_index
 
     t = time.perf_counter()
     cohort = cohort_mod.eligible_authors(index, cfg.eligibility)
@@ -156,12 +157,13 @@ def run_pipeline(cfg: RunConfig) -> Path:
     )
     timings["metrics"] = time.perf_counter() - t
 
+    # Every report table is computed before the first file is written, so a
+    # run that fails while reporting leaves no partial report set behind.
     t = time.perf_counter()
-    checksums: dict[str, str] = {}
-    checksums["metrics.csv"] = _write_csv(
-        out / "metrics.csv",
+    tables: dict[str, tuple[list[str], list[list]]] = {}
+    tables["metrics.csv"] = (
         METRICS_CSV_HEADER,
-        (
+        [
             [
                 m.author_id,
                 m.field_id or "",
@@ -174,7 +176,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
                 m.a50,
             ]
             for m in (all_metrics[a] for a in sorted(all_metrics))
-        ),
+        ],
     )
 
     # Report files are written even for an empty cohort (header-only), so the
@@ -188,13 +190,11 @@ def run_pipeline(cfg: RunConfig) -> Path:
         flagged = stats_mod.enrichment_flags(tail_report) if tail_report else set()
         if tail_report:
             tail_reports[metric] = tail_report
-        checksums[f"tail_{metric}.csv"] = _write_csv(
-            out / f"tail_{metric}.csv",
+        tables[f"tail_{metric}.csv"] = (
             ["author_id", "value"],
-            ([a, _fmt_value(metric, getattr(all_metrics[a], metric))] for a in members),
+            [[a, _fmt_value(metric, getattr(all_metrics[a], metric))] for a in members],
         )
-        checksums[f"allocation_{metric}.csv"] = _write_csv(
-            out / f"allocation_{metric}.csv",
+        tables[f"allocation_{metric}.csv"] = (
             [
                 "field_id",
                 "field_name",
@@ -205,7 +205,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
                 "fold",
                 "flagged",
             ],
-            (
+            [
                 [
                     alloc.field_id or "",
                     index.taxonomy.field_name(alloc.field_id) or "" if alloc.field_id else "",
@@ -217,7 +217,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
                     str(alloc.field_id in flagged).lower(),
                 ]
                 for alloc in allocation
-            ),
+            ],
         )
 
     for metric, (lo, hi, width) in HIST_SPECS.items():
@@ -225,10 +225,9 @@ def run_pipeline(cfg: RunConfig) -> Path:
             [getattr(m, metric) for m in all_metrics.values()], width, lo, hi
         )
         hist_overflow[metric] = {"below": hist.n_below, "above": hist.n_above}
-        checksums[f"hist_{metric}.csv"] = _write_csv(
-            out / f"hist_{metric}.csv",
+        tables[f"hist_{metric}.csv"] = (
             ["bin_start", "count"],
-            ([f"{float(start):g}", count] for start, count in hist.bins),
+            [[f"{float(start):g}", count] for start, count in hist.bins],
         )
 
     cooccur_rows = []
@@ -254,8 +253,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
                     str(table.degenerate).lower(),
                 ]
             )
-    checksums["cooccur.csv"] = _write_csv(
-        out / "cooccur.csv",
+    tables["cooccur.csv"] = (
         [
             "metric_a",
             "metric_b",
@@ -273,6 +271,10 @@ def run_pipeline(cfg: RunConfig) -> Path:
         ],
         cooccur_rows,
     )
+
+    checksums = {
+        name: _write_csv(out / name, header, rows) for name, (header, rows) in tables.items()
+    }
     timings["reports"] = time.perf_counter() - t
 
     manifest = {
@@ -418,6 +420,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 members[metric] = frozenset(row[0] for row in reader if row)
             except UnicodeDecodeError as exc:
                 raise CitegraphError(f"{tail_path}: {not_utf8(exc, reader.line_num)}") from exc
+            except csv.Error as exc:
+                raise CitegraphError(
+                    f"{tail_path}: line {reader.line_num}: malformed CSV: {exc}"
+                ) from exc
     if not members:
         raise CitegraphError(f"no tail_<metric>.csv files found in {run_dir}")
     results = synth_mod.evaluate_detection(truth, members)

@@ -74,19 +74,19 @@ def assign_field(index: CorpusIndex, author_id: str, seed: int) -> tuple[str, st
 
 
 def _vote_field(
-    index: CorpusIndex, author_id: str, full: tuple[str, ...], counts: list[int], seed: int
+    index: CorpusIndex, author_id: str, full: list[int], counts: list[int], seed: int
 ) -> tuple[str, str] | None:
-    """assign_field over the author's full papers `full` and their citation
-    `counts`, both already looked up."""
+    """assign_field over the author's full papers `full` (int ids) and their
+    citation `counts`, both already looked up."""
     taxonomy = index.taxonomy
-    papers = index.papers
+    subfields = index.subfields
     field_papers: dict[str, int] = {}
     field_citations: dict[str, int] = {}
     by_field_subfield: dict[str, dict[str, int]] = {}
     by_field_subfield_cites: dict[str, dict[str, int]] = {}
 
     for p, cites in zip(full, counts):
-        subfield_id = papers[p].subfield_id
+        subfield_id = subfields[p]
         if subfield_id is None:
             continue
         info = taxonomy.lookup(subfield_id)
@@ -129,8 +129,8 @@ def eligible_authors(index: CorpusIndex, cfg: EligibilityConfig) -> dict[str, tu
     """(field_id, subfield_id) of every author passing the paper-count, citation,
     and field requirements; each candidate's field is voted once."""
     selected: dict[str, tuple[str, str]] = {}
-    for author_id in index.papers_of:
-        full = full_papers(index, author_id)
+    for author, author_id in enumerate(index.author_ids):
+        full = index.full_papers(author)
         if len(full) <= cfg.min_full_papers:
             continue
         counts = citation_counts(index, full)

@@ -1,8 +1,17 @@
-"""Domain records and the immutable cross-linked corpus index.
+"""Domain records and the immutable integer-id corpus index.
 
 Everything downstream (cohort selection, indicators, tail statistics) reads
 from a single CorpusIndex built once from flat row streams. The index is
 read-only after construction and safe to share across threads.
+
+Inside the index every paper and every author is a dense int id: its
+position in the sorted list of the string ids. Int order is therefore
+string order, so anything ordered or tie-broken by id comes out exactly as
+it would over the strings. Adjacency is stored in CSR form, an offsets
+array and a targets array per relation, so a row is one slice of one
+`array` and the index holds no Python object per edge. The string-keyed
+`papers`, `papers_of`, `citers_of` and `authors_of` mappings are views that
+build their values from the arrays on each lookup and store nothing.
 """
 
 from __future__ import annotations
@@ -10,11 +19,15 @@ from __future__ import annotations
 import gc
 import logging
 import sys
+import time
+from array import array
+from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from itertools import accumulate
+from typing import Iterable, Iterator
 
 from .errors import CitegraphError
 
@@ -41,6 +54,12 @@ _DOC_TYPE_CODES = {member.value: member for member in DocType}
 
 #: Document types that count as full papers everywhere in the pipeline.
 FULL_PAPER_TYPES = frozenset({DocType.ARTICLE, DocType.CONFERENCE_PAPER, DocType.REVIEW})
+
+#: The per-paper doc-type byte of a CorpusIndex is a position in this tuple.
+DOC_TYPES = tuple(DocType)
+_DOC_TYPE_BYTE = {doc_type: code for code, doc_type in enumerate(DOC_TYPES)}
+#: Doc-type bytes of the full-paper types.
+FULL_DOC_CODES = frozenset(_DOC_TYPE_BYTE[doc_type] for doc_type in FULL_PAPER_TYPES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,54 +143,203 @@ def is_full_paper(paper: PaperRecord) -> bool:
 
 
 class CorpusIndex:
-    """Cross-linked read-only maps over a de-duplicated publication corpus.
+    """Integer-id CSR index over a de-duplicated publication corpus.
 
-    Attributes
-    ----------
-    papers : paper_id -> PaperRecord
-    authors_of : paper_id -> sorted tuple of author_id (papers with authors only)
-    papers_of : author_id -> sorted tuple of paper_id
-    citers_of : paper_id -> sorted tuple of citing paper_id (cited papers only)
-    taxonomy : FieldTaxonomy
+    Paper int ids are positions in `paper_ids` and author int ids positions
+    in `author_ids`; both lists are sorted and hold the interned id strings.
+    Per paper p:
 
-    authors_of and papers_of are mutual inverses, every id in citers_of is a
-    known paper, and all adjacency tuples are sorted, so identical inputs in
-    any row order build identical indexes.
+        doc_types[p]      byte code of its DocType, a position in DOC_TYPES
+        subfields[p]      its subfield_id, or None when unclassified
+        team_of[p]        id of its distinct sorted author tuple, or -1 for
+                          a paper without authors
+        citers of p       citer_targets[citer_offsets[p]:citer_offsets[p + 1]]
+
+    Per author a, their papers are
+    paper_targets[paper_offsets[a]:paper_offsets[a + 1]], and `teams[t]` is
+    the tuple of author ids of team t, stored once however many papers
+    share it. Every CSR row and every team is strictly increasing, so
+    identical inputs in any row order build identical arrays. Offsets are
+    64-bit, targets 32-bit.
+
+    `papers`, `papers_of`, `citers_of` and `authors_of` are read-only
+    string-keyed views for callers that work with string ids (the a50pc
+    oracle, the tests, the benchmark): paper_id -> PaperRecord, author_id
+    -> sorted paper_ids, paper_id -> sorted citing paper_ids (cited papers
+    only) and paper_id -> sorted author_ids (papers with authors only). They
+    resolve a key by bisection over the sorted id list and build each value
+    on demand; the hot paths read the arrays instead.
+
+    `finalise_s` is the wall time build_index spent turning the collected
+    rows into the arrays: sorting and numbering the ids, deduplicating each
+    row and inverting authorships into teams and author rows.
     """
 
     __slots__ = (
-        "papers",
-        "authors_of",
-        "papers_of",
-        "citers_of",
+        "paper_ids",
+        "author_ids",
+        "doc_types",
+        "subfields",
+        "team_of",
+        "teams",
+        "citer_offsets",
+        "citer_targets",
+        "paper_offsets",
+        "paper_targets",
         "taxonomy",
         "n_edges",
         "dropped_unknown_edges",
         "dropped_self_loops",
         "dropped_unknown_authorships",
+        "finalise_s",
     )
 
-    def __init__(
-        self,
-        papers: dict[str, PaperRecord],
-        authors_of: dict[str, tuple[str, ...]],
-        papers_of: dict[str, tuple[str, ...]],
-        citers_of: dict[str, tuple[str, ...]],
-        taxonomy: FieldTaxonomy,
-        n_edges: int,
-        dropped_unknown_edges: int,
-        dropped_self_loops: int,
-        dropped_unknown_authorships: int,
-    ):
-        self.papers: Mapping[str, PaperRecord] = MappingProxyType(papers)
-        self.authors_of: Mapping[str, tuple[str, ...]] = MappingProxyType(authors_of)
-        self.papers_of: Mapping[str, tuple[str, ...]] = MappingProxyType(papers_of)
-        self.citers_of: Mapping[str, tuple[str, ...]] = MappingProxyType(citers_of)
-        self.taxonomy = taxonomy
-        self.n_edges = n_edges
-        self.dropped_unknown_edges = dropped_unknown_edges
-        self.dropped_self_loops = dropped_self_loops
-        self.dropped_unknown_authorships = dropped_unknown_authorships
+    def __init__(self, **fields) -> None:
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
+
+    def author_index(self, author_id: str) -> int | None:
+        """Int id of `author_id`, or None for an author with no indexed paper."""
+        return _position(self.author_ids, author_id)
+
+    def full_papers(self, author: int) -> list[int]:
+        """Int ids of author `author`'s articles, conference papers and reviews, increasing."""
+        offsets = self.paper_offsets
+        doc_types = self.doc_types
+        return [
+            p
+            for p in self.paper_targets[offsets[author]:offsets[author + 1]]
+            if doc_types[p] in FULL_DOC_CODES
+        ]
+
+    @property
+    def papers(self) -> Mapping[str, PaperRecord]:
+        return _PapersView(self)
+
+    @property
+    def papers_of(self) -> Mapping[str, tuple[str, ...]]:
+        return _PapersOfView(self)
+
+    @property
+    def citers_of(self) -> Mapping[str, tuple[str, ...]]:
+        return _CitersOfView(self)
+
+    @property
+    def authors_of(self) -> Mapping[str, tuple[str, ...]]:
+        return _AuthorsOfView(self)
+
+
+def _position(ids: list[str], key: object) -> int | None:
+    if isinstance(key, str):
+        i = bisect_left(ids, key)
+        if i < len(ids) and ids[i] == key:
+            return i
+    return None
+
+
+class _IndexView(Mapping):
+    """A read-only string-keyed mapping computed from a CorpusIndex on each lookup.
+
+    Subclasses name the sorted key list and build the value for key
+    position i, or return None where that key has no entry.
+    """
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: CorpusIndex):
+        self._index = index
+
+    def _keys(self) -> list[str]:
+        raise NotImplementedError
+
+    def _value(self, i: int):
+        raise NotImplementedError
+
+    def get(self, key, default=None):
+        i = _position(self._keys(), key)
+        value = None if i is None else self._value(i)
+        return default if value is None else value
+
+    def __getitem__(self, key: str):
+        value = self.get(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key: object) -> bool:
+        return self.get(key) is not None
+
+    def __iter__(self) -> Iterator[str]:
+        keys = self._keys()
+        return (key for i, key in enumerate(keys) if self._value(i) is not None)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+class _EveryKeyView(_IndexView):
+    """A view that has a value for every key."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys())
+
+    def __len__(self) -> int:
+        return len(self._keys())
+
+
+class _PapersView(_EveryKeyView):
+    __slots__ = ()
+
+    def _keys(self) -> list[str]:
+        return self._index.paper_ids
+
+    def _value(self, i: int) -> PaperRecord:
+        index = self._index
+        return PaperRecord(index.paper_ids[i], DOC_TYPES[index.doc_types[i]], index.subfields[i])
+
+
+class _PapersOfView(_EveryKeyView):
+    __slots__ = ()
+
+    def _keys(self) -> list[str]:
+        return self._index.author_ids
+
+    def _value(self, i: int) -> tuple[str, ...]:
+        index = self._index
+        offsets = index.paper_offsets
+        row = index.paper_targets[offsets[i]:offsets[i + 1]]
+        return tuple(map(index.paper_ids.__getitem__, row))
+
+
+class _CitersOfView(_IndexView):
+    __slots__ = ()
+
+    def _keys(self) -> list[str]:
+        return self._index.paper_ids
+
+    def _value(self, i: int) -> tuple[str, ...] | None:
+        index = self._index
+        offsets = index.citer_offsets
+        start, end = offsets[i], offsets[i + 1]
+        if start == end:
+            return None
+        return tuple(map(index.paper_ids.__getitem__, index.citer_targets[start:end]))
+
+
+class _AuthorsOfView(_IndexView):
+    __slots__ = ()
+
+    def _keys(self) -> list[str]:
+        return self._index.paper_ids
+
+    def _value(self, i: int) -> tuple[str, ...] | None:
+        index = self._index
+        team = index.team_of[i]
+        if team < 0:
+            return None
+        return tuple(map(index.author_ids.__getitem__, index.teams[team]))
 
 
 def build_index(
@@ -180,7 +348,7 @@ def build_index(
     citations: Iterable[CitationRow],
     taxonomy: FieldTaxonomy,
 ) -> CorpusIndex:
-    """Build the cross-linked index from row streams.
+    """Build the integer-id index from row streams.
 
     Rows are plain tuples, the shapes the ingest parsers yield:
 
@@ -188,22 +356,24 @@ def build_index(
         authorships  (paper_id, author_id)
         citations    (citing_paper_id, cited_paper_id)
 
-    A PaperRecord is built only for the first row of each paper_id, and its
-    paper_id is interned then. Every later paper id in an authorship or
-    citation row costs one lookup in the paper map, and the record it finds
-    supplies the canonical id string, so all maps share one string object per
-    paper. Each kept authorship interns its author_id; dropped rows intern
-    nothing.
+    The streams are drained in that order. Once the papers are read, their
+    ids are sorted and numbered, so each later row maps its paper ids to
+    final int ids with one dict lookup. Authorships are kept as flat
+    (paper, author) int pairs and turned into teams and author rows before
+    the first citation is read; each cited paper collects its citing ids in
+    one list, sorted and deduplicated into the CSR once all citations are
+    in. Every kept id string is interned once; dropped rows intern nothing.
 
     Duplicate rows collapse. A paper_id appearing twice with a different
     doc_type or subfield_id is a hard error. Citation edges or authorships
     that reference unknown paper_ids are dropped and counted, so partial
     corpora stay analyzable.
 
-    The build allocates hundreds of thousands of sets and records that all
-    live until the index is dropped, so the cyclic garbage collector is paused
-    while it runs: each collection would re-traverse them and find nothing to
-    free. The collector is re-enabled afterwards only if it was enabled before.
+    The build allocates one list per cited paper and one tuple per team
+    that live until the build ends or as long as the index, so the cyclic
+    garbage collector is paused while it runs: each collection would
+    re-traverse them and find nothing to free. The collector is re-enabled
+    afterwards only if it was enabled before.
     """
     collector_was_enabled = gc.isenabled()
     gc.disable()
@@ -221,49 +391,92 @@ def _build_index(
     taxonomy: FieldTaxonomy,
 ) -> CorpusIndex:
     intern = sys.intern
-    paper_map: dict[str, PaperRecord] = {}
+    clock = time.perf_counter
+
+    # paper_id -> (DocType, subfield_id) while reading, then -> int id. Papers
+    # of one doc type and subfield share one tuple.
+    paper_map: dict[str, object] = {}
+    kinds: dict[tuple[DocType, str | None], tuple[DocType, str | None]] = {}
     for pid, doc_type, subfield_id in papers:
         existing = paper_map.get(pid)
         if existing is None:
-            pid = intern(pid)
-            if subfield_id is not None:
-                subfield_id = intern(subfield_id)
-            paper_map[pid] = PaperRecord(pid, doc_type, subfield_id)
-        elif existing.doc_type is not doc_type or existing.subfield_id != subfield_id:
+            kind = (doc_type, subfield_id)
+            shared = kinds.get(kind)
+            if shared is None:
+                if subfield_id is not None:
+                    kind = (doc_type, intern(subfield_id))
+                shared = kinds[kind] = kind
+            paper_map[intern(pid)] = shared
+        elif existing[0] is not doc_type or existing[1] != subfield_id:
             raise CorpusError(f"conflicting duplicate paper record for paper_id {pid!r}")
-    paper_of = paper_map.get
 
-    author_sets: defaultdict[str, set[str]] = defaultdict(set)
+    started = clock()
+    paper_ids = sorted(paper_map)
+    records = [paper_map[pid] for pid in paper_ids]
+    doc_types = bytes([_DOC_TYPE_BYTE[doc_type] for doc_type, _ in records])
+    subfields: list[str | None] = [subfield_id for _, subfield_id in records]
+    del records
+    n_papers = len(paper_ids)
+    paper_map.update(zip(paper_ids, range(n_papers)))
+    paper_of = paper_map.get
+    finalise_s = clock() - started
+
+    # Authorships as flat (paper, author) pairs; authors numbered as first seen.
+    first_seen: dict[str, int] = {}
+    ship_papers = array("i")
+    ship_authors = array("i")
     dropped_unknown_authorships = 0
     for pid, aid in authorships:
-        paper = paper_of(pid)
-        if paper is None:
+        p = paper_of(pid)
+        if p is None:
             dropped_unknown_authorships += 1
             continue
-        author_sets[paper.paper_id].add(intern(aid))
+        a = first_seen.get(aid)
+        if a is None:
+            a = first_seen[intern(aid)] = len(first_seen)
+        ship_papers.append(p)
+        ship_authors.append(a)
 
-    citer_sets: defaultdict[str, set[str]] = defaultdict(set)
+    started = clock()
+    author_ids = sorted(first_seen)
+    renumber = array("i", bytes(4 * len(author_ids)))
+    for a, aid in enumerate(author_ids):
+        renumber[first_seen[aid]] = a
+    del first_seen
+    # One int per authorship, paper in the high bits: sorting them groups each
+    # paper's authors, in increasing author id, with repeated rows adjacent.
+    pairs = sorted([p << 32 | renumber[a] for p, a in zip(ship_papers, ship_authors)])
+    del ship_papers, ship_authors, renumber
+    team_of, teams, paper_offsets, paper_targets = _invert_authorships(
+        pairs, n_papers, len(author_ids)
+    )
+    del pairs
+    finalise_s += clock() - started
+
+    citer_lists: defaultdict[int, list[int]] = defaultdict(list)
     dropped_unknown_edges = 0
     dropped_self_loops = 0
     for citing, cited in citations:
         if citing == cited:
             dropped_self_loops += 1
             continue
-        citing_paper = paper_of(citing)
-        cited_paper = paper_of(cited)
-        if citing_paper is None or cited_paper is None:
+        u = paper_of(citing)
+        v = paper_of(cited)
+        if u is None or v is None:
             dropped_unknown_edges += 1
             continue
-        citer_sets[cited_paper.paper_id].add(citing_paper.paper_id)
-    n_edges = sum(map(len, citer_sets.values()))
+        citer_lists[v].append(u)
+    del paper_map, paper_of
 
-    authors_of = {pid: tuple(sorted(s)) for pid, s in author_sets.items()}
-    papers_by_author: dict[str, list[str]] = {}
-    for pid, aids in authors_of.items():
-        for aid in aids:
-            papers_by_author.setdefault(aid, []).append(pid)
-    papers_of = {aid: tuple(sorted(ps)) for aid, ps in papers_by_author.items()}
-    citers_of = {pid: tuple(sorted(s)) for pid, s in citer_sets.items()}
+    started = clock()
+    citer_counts = [0] * (n_papers + 1)
+    citer_targets = array("i")
+    for v in sorted(citer_lists):
+        citers = sorted(set(citer_lists.pop(v)))
+        citer_targets.extend(citers)
+        citer_counts[v + 1] = len(citers)
+    citer_offsets = array("q", accumulate(citer_counts))
+    finalise_s += clock() - started
 
     if dropped_unknown_edges:
         logger.warning("dropped %d citation edges referencing unknown papers", dropped_unknown_edges)
@@ -273,13 +486,59 @@ def _build_index(
         logger.warning("dropped %d authorships referencing unknown papers", dropped_unknown_authorships)
 
     return CorpusIndex(
-        papers=paper_map,
-        authors_of=authors_of,
-        papers_of=papers_of,
-        citers_of=citers_of,
+        paper_ids=paper_ids,
+        author_ids=author_ids,
+        doc_types=doc_types,
+        subfields=subfields,
+        team_of=team_of,
+        teams=teams,
+        citer_offsets=citer_offsets,
+        citer_targets=citer_targets,
+        paper_offsets=paper_offsets,
+        paper_targets=paper_targets,
         taxonomy=taxonomy,
-        n_edges=n_edges,
+        n_edges=len(citer_targets),
         dropped_unknown_edges=dropped_unknown_edges,
         dropped_self_loops=dropped_self_loops,
         dropped_unknown_authorships=dropped_unknown_authorships,
+        finalise_s=finalise_s,
     )
+
+
+_LOW_32 = (1 << 32) - 1
+
+
+def _invert_authorships(
+    pairs: list[int], n_papers: int, n_authors: int
+) -> tuple[array, list[tuple[int, ...]], array, array]:
+    """team_of, teams and the author CSR from sorted `paper << 32 | author` ints.
+
+    The pairs come grouped by paper in increasing id, so each paper's team
+    and each author's row come out sorted; a repeated pair is skipped.
+    """
+    team_of = array("i", [-1]) * n_papers
+    team_ids: dict[tuple[int, ...], int] = {}
+    number = team_ids.setdefault
+    rows = [array("i") for _ in range(n_authors)]
+    team: list[int] = []
+    paper = -1
+    last = -1
+    for pair in pairs:
+        if pair == last:
+            continue
+        last = pair
+        p = pair >> 32
+        a = pair & _LOW_32
+        rows[a].append(p)
+        if p == paper:
+            team.append(a)
+            continue
+        if team:
+            team_of[paper] = number(tuple(team), len(team_ids))
+        team = [a]
+        paper = p
+    if team:
+        team_of[paper] = number(tuple(team), len(team_ids))
+    paper_offsets = array("q", accumulate(map(len, rows), initial=0))
+    paper_targets = array("i", b"".join(rows))
+    return team_of, list(team_ids), paper_offsets, paper_targets

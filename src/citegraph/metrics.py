@@ -13,11 +13,13 @@ A citing paper that references k of the author's full papers contributes k
 citations. Citing papers may be of any document type; only full papers of
 the examined author receive countable citations.
 
-a50pc and a50 work over distinct author tuples rather than over every
-(paper, author) pair: papers with the same author tuple are merged and their
-weights summed, which on large teams collapses most of the work. a50pc is a
-lazy greedy max-coverage over those tuples (Minoux 1978); a50pc_oracle is the
-naive reference it is cross-checked against.
+a50pc and a50 work over teams, the distinct author tuples the index numbers,
+rather than over every (paper, author) pair: papers of the same team are
+merged and their weights summed, which on large teams collapses most of the
+work. Both read the index's int arrays directly; authors are compared by int
+id, which orders them as their string ids do. a50pc is a lazy greedy
+max-coverage over the teams (Minoux 1978); a50pc_oracle is the naive
+reference it is cross-checked against, and reads the string-keyed views.
 
 All operations are pure reads over the index, so each author's values do not
 depend on which other authors are computed, or in what order.
@@ -53,23 +55,19 @@ class AuthorMetrics:
     subfield_id: str | None = None
 
 
-def full_papers(index: CorpusIndex, author_id: str) -> tuple[str, ...]:
-    """The author's papers that are articles, conference papers, or reviews."""
-    papers = index.papers
-    return tuple(p for p in index.papers_of.get(author_id, ()) if is_full_paper(papers[p]))
+def full_papers(index: CorpusIndex, author_id: str) -> list[int]:
+    """Int ids of the author's papers that are articles, conference papers, or reviews."""
+    author = index.author_index(author_id)
+    return [] if author is None else index.full_papers(author)
 
 
-def citation_counts(index: CorpusIndex, papers: tuple[str, ...]) -> list[int]:
+def citation_counts(index: CorpusIndex, papers: Iterable[int]) -> list[int]:
     """Citation count of each paper in `papers`: its citing papers, of any type.
 
     Callers pass an author's full papers, as returned by full_papers.
     """
-    citers_of = index.citers_of
-    return [len(citers_of.get(p, ())) for p in papers]
-
-
-def citation_total(index: CorpusIndex, author_id: str) -> int:
-    return sum(citation_counts(index, full_papers(index, author_id)))
+    offsets = index.citer_offsets
+    return [offsets[p + 1] - offsets[p] for p in papers]
 
 
 def h_index(counts: Iterable[int]) -> int:
@@ -115,14 +113,16 @@ def a50pc_greedy(index: CorpusIndex, author_id: str) -> int:
     authors account for at least 50% of the citations, by the exact integer
     test 2 * explained >= citations.
 
-    Citing papers with the same author tuple are merged into one group whose
-    weight is their summed citation edges; papers without authors join no
-    group. Selection is then a lazy greedy max-coverage over the groups
-    (Minoux 1978, "Accelerated greedy algorithms for maximizing submodular
-    set functions"): a heap holds one (-contribution, author) entry per
-    candidate, consuming a group only lowers its members' contributions, and
-    a popped entry whose value has gone stale is pushed back with its current
-    value instead of being selected. Both steps are exact:
+    Citing papers with the same author tuple (one team id in the index) are
+    merged into one group whose weight is their summed citation edges;
+    papers without authors join no group. Selection is then a lazy greedy
+    max-coverage over the groups (Minoux 1978, "Accelerated greedy
+    algorithms for maximizing submodular set functions"): a heap holds one
+    (-contribution, author) entry per candidate, consuming a group only
+    lowers its members' contributions, and a popped entry whose value has
+    gone stale is pushed back with its current value instead of being
+    selected. Authors are int ids, ordered as their string ids. Both steps
+    are exact:
 
     - any selection consumes all papers of a group together, and they add the
       same amount to each candidate's gain, so merging changes no selection;
@@ -131,30 +131,28 @@ def a50pc_greedy(index: CorpusIndex, author_id: str) -> int:
 
     See a50pc_oracle for the from-scratch reference used to cross-check it.
     """
-    citers_of = index.citers_of
+    offsets = index.citer_offsets
+    citers = index.citer_targets
     full = full_papers(index, author_id)
-    weights = Counter(chain.from_iterable(citers_of.get(p, ()) for p in full))
+    # Citation edges per citing team; -1 collects the author-less citing papers.
+    citing = chain.from_iterable(citers[offsets[p]:offsets[p + 1]] for p in full)
+    weights = Counter(map(index.team_of.__getitem__, citing))
     total = sum(weights.values())
     if total == 0:
         raise UndefinedMetricError(f"author {author_id!r} has no citations")
 
-    authors_of = index.authors_of
-    groups: dict[tuple[str, ...], int] = {}
-    for u, k in weights.items():
-        team = authors_of.get(u)
-        if team:
-            groups[team] = groups.get(team, 0) + k
-    attributed = sum(groups.values())
-    if 2 * attributed < total:
+    unattributed = weights.pop(-1, 0)
+    if 2 * (total - unattributed) < total:
         raise UndefinedMetricError(
             f"author {author_id!r}: citing papers without recorded authors carry "
-            f"{total - attributed} of {total} citations; half cannot be attributed"
+            f"{unattributed} of {total} citations; half cannot be attributed"
         )
 
-    contrib: dict[str, int] = {}
-    groups_of: dict[str, list[tuple[str, ...]]] = {}
-    for team, k in groups.items():
-        for x in team:
+    teams = index.teams
+    contrib: dict[int, int] = {}
+    groups_of: dict[int, list[int]] = {}
+    for team, k in weights.items():
+        for x in teams[team]:
             contrib[x] = contrib.get(x, 0) + k
             groups_of.setdefault(x, []).append(team)
 
@@ -171,9 +169,9 @@ def a50pc_greedy(index: CorpusIndex, author_id: str) -> int:
         explained += current
         selections += 1
         for team in groups_of[x]:
-            k = groups.pop(team, 0)
+            k = weights.pop(team, 0)
             if k:
-                for y in team:
+                for y in teams[team]:
                     contrib[y] -= k
     return selections
 
@@ -221,24 +219,29 @@ def a50pc_oracle(index: CorpusIndex, author_id: str) -> int:
     return len(a50pc_oracle_selections(index, author_id))
 
 
+def _shared_coauthor_counts(index: CorpusIndex, author_id: str) -> Counter[int]:
+    teams = index.teams
+    shared: Counter[int] = Counter()
+    for team, n in Counter(map(index.team_of.__getitem__, full_papers(index, author_id))).items():
+        for other in teams[team]:
+            shared[other] += n
+    shared.pop(index.author_index(author_id), None)
+    return shared
+
+
 def shared_coauthor_counts(index: CorpusIndex, author_id: str) -> dict[str, int]:
     """Full papers co-authored with each distinct other author.
 
-    Papers with the same author tuple are counted together, so each distinct
-    tuple is expanded once.
+    Papers with the same team (author tuple) are counted together, so each
+    distinct team is expanded once.
     """
-    authors_of = index.authors_of
-    shared: Counter[str] = Counter()
-    for team, n in Counter(authors_of.get(p, ()) for p in full_papers(index, author_id)).items():
-        for other in team:
-            shared[other] += n
-    shared.pop(author_id, None)
-    return dict(shared)
+    author_ids = index.author_ids
+    return {author_ids[other]: n for other, n in _shared_coauthor_counts(index, author_id).items()}
 
 
 def a50_coauthors(index: CorpusIndex, author_id: str, threshold: int = 50) -> int:
     """Distinct co-authors sharing strictly more than `threshold` full papers."""
-    return sum(1 for n in shared_coauthor_counts(index, author_id).values() if n > threshold)
+    return sum(1 for n in _shared_coauthor_counts(index, author_id).values() if n > threshold)
 
 
 def compute_author_metrics(

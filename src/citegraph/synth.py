@@ -495,6 +495,8 @@ def read_truth(path: str | Path) -> GroundTruth:
                 labels[row[0]] = (row[1], row[2])
         except UnicodeDecodeError as exc:
             raise SynthConfigError(f"{path}: {not_utf8(exc, reader.line_num)}") from exc
+        except csv.Error as exc:
+            raise SynthConfigError(f"{path}: line {reader.line_num}: malformed CSV: {exc}") from exc
     return GroundTruth(labels=labels)
 
 

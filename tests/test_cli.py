@@ -196,6 +196,38 @@ def test_evaluate_non_utf8_tail_file_fails_with_single_line_error(
     assert err == f"error: {tail}: after line 0: byte 0xff is not valid UTF-8\n"
 
 
+#: An unterminated quote on line 3, then enough rows to pass the csv field limit.
+UNTERMINATED_QUOTE = b'"h1,x,y\n' + b"h2,a,b\n" * 20_000
+
+
+def test_evaluate_malformed_truth_csv_fails_with_single_line_error(run_dir, tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(b"author_id,label,group_id\nh0,self_citer,g1\n" + UNTERMINATED_QUOTE)
+    rc = main(["evaluate", "--truth", str(truth), "--run-dir", str(run_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {truth}: line 18727: malformed CSV: field larger than field limit (131072)\n"
+    )
+
+
+def test_evaluate_malformed_tail_csv_fails_with_single_line_error(
+    corpus_dir, run_dir, tmp_path, capsys
+):
+    bad_run = tmp_path / "run"
+    bad_run.mkdir()
+    for path in run_dir.glob("tail_*.csv"):
+        (bad_run / path.name).write_bytes(path.read_bytes())
+    tail = bad_run / "tail_a50.csv"
+    tail.write_bytes(b"author_id,value\nh0,60\n" + UNTERMINATED_QUOTE)
+    rc = main(["evaluate", "--truth", str(corpus_dir / "truth.csv"), "--run-dir", str(bad_run)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {tail}: line 18727: malformed CSV: field larger than field limit (131072)\n"
+    )
+
+
 def test_exclude_field_flag_removes_field_from_tails(corpus_dir, tmp_path):
     out = tmp_path / "excl"
     assert main(_run_args(corpus_dir, out, extra=("--exclude-field", "F04"))) == 0
@@ -237,6 +269,29 @@ def test_empty_cohort_still_writes_full_report_set(tmp_path):
     assert (out / "metrics.csv").read_text().count("\n") == 1  # header only
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["cohort"]["n_eligible"] == 0
+
+
+def test_failed_reporting_leaves_no_report_files(tmp_path, capsys):
+    """Excluding the one field every cohort author is in fails the a50pc tail;
+    no report file may be written before that failure."""
+    corpus = tmp_path / "one_field"
+    corpus.mkdir()
+    (corpus / "papers.csv").write_text(
+        "paper_id,doc_type,subfield_id\np1,article,s101\np2,article,s101\np3,article,s101\n"
+    )
+    (corpus / "authorships.csv").write_text("paper_id,author_id\np1,a1\np2,a2\np3,a3\n")
+    (corpus / "citations.csv").write_text(
+        "citing_paper_id,cited_paper_id\np2,p1\np3,p1\np3,p2\n"
+    )
+    (corpus / "taxonomy.csv").write_text(
+        "subfield_id,subfield_name,field_id,field_name\ns101,x,F01,Life Sciences\n"
+    )
+    out = tmp_path / "out"
+    extra = ("--min-papers", "0", "--min-citations", "1", "--exclude-field", "F01")
+    assert main(_run_args(corpus, out, extra)) == 2
+    assert capsys.readouterr().err == "error: cohort is empty after field exclusion\n"
+    assert sorted(out.glob("*.csv")) == []
+    assert not (out / "manifest.json").exists()
 
 
 def test_outputs_identical_across_separate_processes(tmp_path):
@@ -342,7 +397,8 @@ def test_run_votes_each_candidate_field_once(corpus_dir, tmp_path, monkeypatch):
         a
         for a in index.papers_of
         if len(metrics.full_papers(index, a)) > cfg.eligibility.min_full_papers
-        and metrics.citation_total(index, a) >= cfg.eligibility.min_citations
+        and sum(metrics.citation_counts(index, metrics.full_papers(index, a)))
+        >= cfg.eligibility.min_citations
     ]
     voted = []
     pick = cohort._majority_pick

@@ -152,3 +152,58 @@ def test_ingest_to_index_matches_set_reference_in_any_row_order(corpus, rng):
         assert got_stats == want_stats
         # Every id the index keeps is the one interned string for that id.
         assert all(sys.intern(i) is i for i in _stored_ids(index))
+
+
+def _arrays(index) -> dict:
+    return {
+        name: getattr(index, name)
+        for name in (
+            "paper_ids",
+            "author_ids",
+            "doc_types",
+            "subfields",
+            "team_of",
+            "teams",
+            "citer_offsets",
+            "citer_targets",
+            "paper_offsets",
+            "paper_targets",
+        )
+    }
+
+
+def _strictly_increasing(seq) -> bool:
+    return all(a < b for a, b in zip(seq, seq[1:]))
+
+
+def _check_csr(offsets, targets, n_rows: int) -> None:
+    assert len(offsets) == n_rows + 1
+    assert offsets[0] == 0
+    assert all(a <= b for a, b in zip(offsets, offsets[1:]))
+    assert offsets[-1] == len(targets)
+    for i in range(n_rows):
+        assert _strictly_increasing(targets[offsets[i]:offsets[i + 1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), st.randoms(use_true_random=False))
+def test_csr_arrays_are_canonical_in_any_row_order(corpus, rng):
+    paper_rows, ship_rows, edge_rows, expected, dialect = corpus
+    authored = {p for p, _ in ship_rows if p in expected}
+    shuffled = [rng.sample(rows, len(rows)) for rows in (paper_rows, ship_rows, edge_rows)]
+    built = []
+    for rows in ((paper_rows, ship_rows, edge_rows), shuffled):
+        index, _ = _ingest(*rows, dialect)
+        # Int ids are positions in the sorted string ids.
+        assert index.paper_ids == sorted(expected)
+        assert index.author_ids == sorted({a for p, a in ship_rows if p in expected})
+        n_papers, n_authors = len(index.paper_ids), len(index.author_ids)
+        _check_csr(index.citer_offsets, index.citer_targets, n_papers)
+        _check_csr(index.paper_offsets, index.paper_targets, n_authors)
+        assert all(_strictly_increasing(team) for team in index.teams)
+        assert len(set(index.teams)) == len(index.teams)
+        assert len(index.team_of) == n_papers
+        for p, pid in enumerate(index.paper_ids):
+            assert (index.team_of[p] == -1) == (pid not in authored)
+        built.append(_arrays(index))
+    assert built[0] == built[1]
