@@ -152,9 +152,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     timings["cohort"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    all_metrics = metrics_mod.compute_all_metrics(
-        index, cohort, field_assignments=cohort, a50_threshold=cfg.a50_threshold
-    )
+    all_metrics = metrics_mod.compute_all_metrics(index, cohort, a50_threshold=cfg.a50_threshold)
     timings["metrics"] = time.perf_counter() - t
 
     # Every report table is computed before the first file is written, so a
@@ -166,8 +164,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
         [
             [
                 m.author_id,
-                m.field_id or "",
-                m.subfield_id or "",
+                m.field_id,
+                m.subfield_id,
                 m.n_full_papers,
                 m.citations,
                 m.h_index,
@@ -454,6 +452,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type for --pct; a zero denominator is a usage error, not a crash."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--papers", required=True, help="papers.csv path")
     p.add_argument("--authorships", required=True, help="authorships.csv path")
@@ -475,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--exclude-field", action="append", default=[], help="field_id excluded from a50pc/a50 tails"
     )
     p_run.add_argument(
-        "--pct", type=Fraction, default=Fraction(1), help="tail percentile, read as an exact rational"
+        "--pct", type=_rational, default=Fraction(1), help="tail percentile, read as an exact rational"
     )
     p_run.add_argument("--a50-threshold", type=int, default=50)
     p_run.add_argument(

@@ -6,6 +6,10 @@ papers, and an assignable field. Field assignment is majority vote over the
 author's classified full papers, with ties broken first by citations received
 in each tied field and finally by a deterministic draw keyed on
 (seed, author_id), so assignments are stable under cohort changes.
+
+eligible_authors reads each author's full papers once, votes the field of
+each author passing both checks, and returns the cohort that
+metrics.compute_all_metrics takes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable
 
 from .corpus import CorpusIndex
 from .errors import CitegraphError
-from .metrics import citation_counts, full_papers
+from .metrics import citation_counts
 
 
 class CohortConfigError(CitegraphError):
@@ -61,23 +65,17 @@ def _majority_pick(
     return _seeded_pick(tied, seed, author_id, level)
 
 
-def assign_field(index: CorpusIndex, author_id: str, seed: int) -> tuple[str, str] | None:
-    """(field_id, subfield_id) for the author, or None if no full paper is classified.
+def _vote_field(
+    index: CorpusIndex, author_id: str, full: list[int], counts: list[int], seed: int
+) -> tuple[str, str] | None:
+    """(field_id, subfield_id) voted over the author's full papers `full` (int
+    ids) and their citation `counts`, or None if no full paper is classified.
 
     The field with the most of the author's classified full papers wins;
     ties go to the field whose papers received the most citations, then to
     the seeded draw. The subfield is chosen the same way within the winning
     field.
     """
-    full = full_papers(index, author_id)
-    return _vote_field(index, author_id, full, citation_counts(index, full), seed)
-
-
-def _vote_field(
-    index: CorpusIndex, author_id: str, full: list[int], counts: list[int], seed: int
-) -> tuple[str, str] | None:
-    """assign_field over the author's full papers `full` (int ids) and their
-    citation `counts`, both already looked up."""
     taxonomy = index.taxonomy
     subfields = index.subfields
     field_papers: dict[str, int] = {}
@@ -116,10 +114,13 @@ def _vote_field(
 def assign_fields(
     index: CorpusIndex, authors: Iterable[str], seed: int
 ) -> dict[str, tuple[str, str]]:
-    """Batch assignment; authors without any classified full paper are omitted."""
+    """Field vote of each of `authors`, omitting those with no classified full
+    paper. The pipeline votes in eligible_authors; bench/child.py traces this."""
     out: dict[str, tuple[str, str]] = {}
     for author_id in authors:
-        assigned = assign_field(index, author_id, seed)
+        author = index.author_index(author_id)
+        full = [] if author is None else index.full_papers(author)
+        assigned = _vote_field(index, author_id, full, citation_counts(index, full), seed)
         if assigned is not None:
             out[author_id] = assigned
     return out

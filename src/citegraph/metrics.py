@@ -13,6 +13,9 @@ A citing paper that references k of the author's full papers contributes k
 citations. Citing papers may be of any document type; only full papers of
 the examined author receive countable citations.
 
+compute_author_metrics is the one per-author kernel: it reads the author's
+full papers once, by int id, and hands that list to every indicator.
+
 a50pc and a50 work over teams, the distinct author tuples the index numbers,
 rather than over every (paper, author) pair: papers of the same team are
 merged and their weights summed, which on large teams collapses most of the
@@ -51,20 +54,14 @@ class AuthorMetrics:
     c_over_h2: Fraction
     a50pc: int
     a50: int
-    field_id: str | None = None
-    subfield_id: str | None = None
-
-
-def full_papers(index: CorpusIndex, author_id: str) -> list[int]:
-    """Int ids of the author's papers that are articles, conference papers, or reviews."""
-    author = index.author_index(author_id)
-    return [] if author is None else index.full_papers(author)
+    field_id: str | None
+    subfield_id: str | None
 
 
 def citation_counts(index: CorpusIndex, papers: Iterable[int]) -> list[int]:
     """Citation count of each paper in `papers`: its citing papers, of any type.
 
-    Callers pass an author's full papers, as returned by full_papers.
+    Callers pass an author's full papers, as returned by CorpusIndex.full_papers.
     """
     offsets = index.citer_offsets
     return [offsets[p + 1] - offsets[p] for p in papers]
@@ -102,8 +99,9 @@ def format_2dp(value: Fraction | int) -> str:
     return f"{q // 100}.{q % 100:02d}"
 
 
-def a50pc_greedy(index: CorpusIndex, author_id: str) -> int:
-    """Citing authors needed to account for at least half of the received citations.
+def a50pc_greedy(index: CorpusIndex, full: list[int]) -> int:
+    """Citing authors needed to account for at least half of the citations
+    received by `full`, an author's full papers (int ids).
 
     Repeatedly selects the citing author whose still-unconsumed citing papers
     carry the most citation edges to the examined author (ties broken by
@@ -133,19 +131,18 @@ def a50pc_greedy(index: CorpusIndex, author_id: str) -> int:
     """
     offsets = index.citer_offsets
     citers = index.citer_targets
-    full = full_papers(index, author_id)
     # Citation edges per citing team; -1 collects the author-less citing papers.
     citing = chain.from_iterable(citers[offsets[p]:offsets[p + 1]] for p in full)
     weights = Counter(map(index.team_of.__getitem__, citing))
     total = sum(weights.values())
     if total == 0:
-        raise UndefinedMetricError(f"author {author_id!r} has no citations")
+        raise UndefinedMetricError("a50pc is undefined without citations")
 
     unattributed = weights.pop(-1, 0)
     if 2 * (total - unattributed) < total:
         raise UndefinedMetricError(
-            f"author {author_id!r}: citing papers without recorded authors carry "
-            f"{unattributed} of {total} citations; half cannot be attributed"
+            f"citing papers without recorded authors carry {unattributed} of {total} "
+            "citations; half cannot be attributed"
         )
 
     teams = index.teams
@@ -219,71 +216,60 @@ def a50pc_oracle(index: CorpusIndex, author_id: str) -> int:
     return len(a50pc_oracle_selections(index, author_id))
 
 
-def _shared_coauthor_counts(index: CorpusIndex, author_id: str) -> Counter[int]:
+def shared_coauthor_counts(index: CorpusIndex, author: int, full: list[int]) -> Counter[int]:
+    """Full papers in `full`, author `author`'s, co-authored with each other
+    author, by int id; each distinct team (author tuple) is expanded once."""
     teams = index.teams
     shared: Counter[int] = Counter()
-    for team, n in Counter(map(index.team_of.__getitem__, full_papers(index, author_id))).items():
+    for team, n in Counter(map(index.team_of.__getitem__, full)).items():
         for other in teams[team]:
             shared[other] += n
-    shared.pop(index.author_index(author_id), None)
+    shared.pop(author, None)
     return shared
 
 
-def shared_coauthor_counts(index: CorpusIndex, author_id: str) -> dict[str, int]:
-    """Full papers co-authored with each distinct other author.
-
-    Papers with the same team (author tuple) are counted together, so each
-    distinct team is expanded once.
-    """
-    author_ids = index.author_ids
-    return {author_ids[other]: n for other, n in _shared_coauthor_counts(index, author_id).items()}
-
-
-def a50_coauthors(index: CorpusIndex, author_id: str, threshold: int = 50) -> int:
-    """Distinct co-authors sharing strictly more than `threshold` full papers."""
-    return sum(1 for n in _shared_coauthor_counts(index, author_id).values() if n > threshold)
+def a50_coauthors(index: CorpusIndex, author: int, full: list[int], threshold: int = 50) -> int:
+    """Distinct co-authors sharing strictly more than `threshold` of the full papers `full`."""
+    return sum(1 for n in shared_coauthor_counts(index, author, full).values() if n > threshold)
 
 
 def compute_author_metrics(
-    index: CorpusIndex,
-    author_id: str,
-    *,
-    a50_threshold: int = 50,
-    field_assignment: tuple[str, str] | None = None,
+    index: CorpusIndex, author: int, field: tuple[str, str], *, a50_threshold: int = 50
 ) -> AuthorMetrics:
-    counts = citation_counts(index, full_papers(index, author_id))
+    """Every indicator of author `author` (an int id) from one read of their
+    full papers; `field` is their (field_id, subfield_id). An
+    UndefinedMetricError from any indicator is re-raised naming the author."""
+    author_id = index.author_ids[author]
+    full = index.full_papers(author)
+    counts = citation_counts(index, full)
     citations = sum(counts)
     h = h_index(counts)
-    field_id, subfield_id = field_assignment if field_assignment else (None, None)
-    return AuthorMetrics(
-        author_id=author_id,
-        n_full_papers=len(counts),
-        citations=citations,
-        h_index=h,
-        c_over_h2=c_over_h2(citations, h),
-        a50pc=a50pc_greedy(index, author_id),
-        a50=a50_coauthors(index, author_id, a50_threshold),
-        field_id=field_id,
-        subfield_id=subfield_id,
-    )
+    try:
+        return AuthorMetrics(
+            author_id=author_id,
+            n_full_papers=len(full),
+            citations=citations,
+            h_index=h,
+            c_over_h2=c_over_h2(citations, h),
+            a50pc=a50pc_greedy(index, full),
+            a50=a50_coauthors(index, author, full, a50_threshold),
+            field_id=field[0],
+            subfield_id=field[1],
+        )
+    except UndefinedMetricError as exc:
+        raise UndefinedMetricError(f"author {author_id!r}: {exc}") from exc
 
 
 def compute_all_metrics(
-    index: CorpusIndex,
-    cohort: Iterable[str],
-    *,
-    field_assignments: Mapping[str, tuple[str, str]] | None = None,
-    a50_threshold: int = 50,
+    index: CorpusIndex, cohort: Mapping[str, tuple[str, str]], *, a50_threshold: int = 50
 ) -> dict[str, AuthorMetrics]:
     """Metrics for every cohort author, keyed and computed in sorted author order.
 
-    The GIL serialises this pure-Python work, so it runs on one thread: a
+    `cohort` maps author ids to (field_id, subfield_id), as eligible_authors
+    returns it. The GIL serialises this pure-Python work, so it runs on one thread: a
     thread pool here measured slower than the plain loop.
     """
-    assignments = field_assignments or {}
     return {
-        a: compute_author_metrics(
-            index, a, a50_threshold=a50_threshold, field_assignment=assignments.get(a)
-        )
-        for a in sorted(set(cohort))
+        a: compute_author_metrics(index, index.author_index(a), cohort[a], a50_threshold=a50_threshold)
+        for a in sorted(cohort)
     }

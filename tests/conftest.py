@@ -9,6 +9,7 @@ from citegraph.corpus import (
     SubfieldInfo,
     build_index,
 )
+from citegraph.metrics import a50_coauthors, shared_coauthor_counts
 
 TAXONOMY_ROWS = [
     ("102", "nuclear & particle physics", "F18", "Physics & Astronomy"),
@@ -31,6 +32,28 @@ def make_index(papers, authorships, citations, taxonomy=None) -> CorpusIndex:
         list(citations),
         taxonomy or tiny_taxonomy(),
     )
+
+
+def full_of(index: CorpusIndex, author_id: str) -> list[int]:
+    """Int ids of the full papers of `author_id`, an author of `index`."""
+    return index.full_papers(index.author_index(author_id))
+
+
+def a50_of(index: CorpusIndex, author_id: str, threshold: int = 50) -> int:
+    """metrics.a50_coauthors of `author_id`, an author of `index`."""
+    return a50_coauthors(index, index.author_index(author_id), full_of(index, author_id), threshold)
+
+
+def coauthor_counts(index: CorpusIndex, author_id: str) -> dict[str, int]:
+    """metrics.shared_coauthor_counts of `author_id`, keyed by string author id."""
+    author = index.author_index(author_id)
+    counts = shared_coauthor_counts(index, author, index.full_papers(author))
+    return {index.author_ids[other]: n for other, n in counts.items()}
+
+
+def no_fields(authors) -> dict[str, tuple[None, None]]:
+    """A compute_all_metrics cohort of `authors`, none of them assigned a field."""
+    return dict.fromkeys(authors, (None, None))
 
 
 def random_corpus(rng: random.Random, max_authors: int = 50, max_edges: int = 300) -> CorpusIndex:

@@ -22,7 +22,6 @@ from citegraph.metrics import (
     a50pc_greedy,
     a50pc_oracle,
     h_index,
-    shared_coauthor_counts,
 )
 from citegraph.stats import ContingencyTable, round_sig2
 from citegraph.synth import (
@@ -35,7 +34,7 @@ from citegraph.synth import (
     write_corpus,
 )
 
-from conftest import brute_force_h, random_corpus
+from conftest import brute_force_h, coauthor_counts, full_of, random_corpus
 
 ACCEPT_SEED = 20240801
 
@@ -193,7 +192,7 @@ def test_criterion_3_oracle_equivalence():
                 expected = a50pc_oracle(idx, author)
             except UndefinedMetricError:
                 continue
-            if a50pc_greedy(idx, author) != expected:
+            if a50pc_greedy(idx, full_of(idx, author)) != expected:
                 mismatches += 1
             compared += 1
 
@@ -238,7 +237,7 @@ def test_criterion_4_structural_invariants(default_run, throughput_run):
     for _ in range(40):
         idx = random_corpus(rng, max_authors=15, max_edges=60)
         over = {
-            a: {b for b, n in shared_coauthor_counts(idx, a).items() if n > 0}
+            a: {b for b, n in coauthor_counts(idx, a).items() if n > 0}
             for a in idx.papers_of
         }
         for a, partners in over.items():

@@ -8,6 +8,8 @@ import pytest
 
 from citegraph.cli import main
 
+from conftest import full_of
+
 SYNTH_ARGS = [
     "synth",
     "--seed", "21",
@@ -396,8 +398,8 @@ def test_run_votes_each_candidate_field_once(corpus_dir, tmp_path, monkeypatch):
     candidates = [
         a
         for a in index.papers_of
-        if len(metrics.full_papers(index, a)) > cfg.eligibility.min_full_papers
-        and sum(metrics.citation_counts(index, metrics.full_papers(index, a)))
+        if len(full_of(index, a)) > cfg.eligibility.min_full_papers
+        and sum(metrics.citation_counts(index, full_of(index, a)))
         >= cfg.eligibility.min_citations
     ]
     voted = []
@@ -412,6 +414,35 @@ def test_run_votes_each_candidate_field_once(corpus_dir, tmp_path, monkeypatch):
     cli.run_pipeline(cfg)
     assert len(candidates) > 100
     assert sorted(voted) == sorted(candidates)
+
+
+def test_run_reads_each_authors_full_papers_once_per_stage(corpus_dir, tmp_path, monkeypatch):
+    """Eligibility reads every author's full papers once, the metrics kernel
+    every cohort author's once, and nothing else reads them."""
+    from citegraph import cli
+    from citegraph.corpus import CorpusIndex
+
+    calls = []
+    full_papers = CorpusIndex.full_papers
+
+    def counting_full_papers(self, author):
+        calls.append(author)
+        return full_papers(self, author)
+
+    monkeypatch.setattr(CorpusIndex, "full_papers", counting_full_papers)
+    cfg = cli.RunConfig(
+        papers_path=str(corpus_dir / "papers.csv"),
+        authorships_path=str(corpus_dir / "authorships.csv"),
+        citations_path=str(corpus_dir / "citations.csv"),
+        taxonomy_path=str(corpus_dir / "taxonomy.csv"),
+        out_dir=str(tmp_path / "reads"),
+    )
+    out = cli.run_pipeline(cfg)
+    manifest = json.loads((out / "manifest.json").read_text())
+    n_authors = manifest["index"]["n_authors"]
+    n_cohort = manifest["cohort"]["n_eligible"]
+    assert n_cohort > 100
+    assert len(calls) == n_authors + n_cohort
 
 
 def test_ingest_file_durations_are_disjoint(run_dir):
@@ -445,6 +476,33 @@ def test_pct_flag_rejects_non_numbers(capsys):
         main(_run_args(Path("c"), Path("o"), ("--pct", "one")))
     assert exc.value.code == 2
     assert "--pct" in capsys.readouterr().err
+
+
+def test_pct_zero_denominator_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_run_args(Path("c"), Path("o"), ("--pct", "1/0")))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--pct" in err and "Traceback" not in err
+
+
+def test_undefined_metric_names_the_author(tmp_path, capsys):
+    """An eligible author with no citations has no c_over_h2; the one-line
+    error says which author it is."""
+    corpus = tmp_path / "uncited"
+    corpus.mkdir()
+    (corpus / "papers.csv").write_text(
+        "paper_id,doc_type,subfield_id\n" + "".join(f"p{i},article,s101\n" for i in range(6))
+    )
+    (corpus / "authorships.csv").write_text(
+        "paper_id,author_id\n" + "".join(f"p{i},a1\n" for i in range(6))
+    )
+    (corpus / "citations.csv").write_text("citing_paper_id,cited_paper_id\n")
+    (corpus / "taxonomy.csv").write_text(
+        "subfield_id,subfield_name,field_id,field_name\ns101,x,F01,Life Sciences\n"
+    )
+    assert main(_run_args(corpus, tmp_path / "out", ("--min-citations", "0"))) == 2
+    assert capsys.readouterr().err == "error: author 'a1': c_over_h2 is undefined for h_index 0\n"
 
 
 def test_non_utf8_input_fails_with_single_line_error(tmp_path, corpus_dir, capsys):

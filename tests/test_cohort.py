@@ -5,7 +5,6 @@ import pytest
 from citegraph.cohort import (
     CohortConfigError,
     EligibilityConfig,
-    assign_field,
     assign_fields,
     eligible_authors,
 )
@@ -82,9 +81,16 @@ def _field_corpus(field_papers, citations_per_paper=None):
     return make_index(papers, ships, edges)
 
 
+def voted_field(idx, author_id, seed):
+    """The field eligible_authors votes for `author_id` with no paper or
+    citation threshold, or None when the author is not in the cohort."""
+    cfg = EligibilityConfig(min_full_papers=0, min_citations=0, seed=seed)
+    return eligible_authors(idx, cfg).get(author_id)
+
+
 def test_assign_field_majority():
     idx = _field_corpus([("p1", "102"), ("p2", "103"), ("p3", "102"), ("p4", "201"), ("p5", "201")])
-    field, subfield = assign_field(idx, "A", seed=0)
+    field, subfield = voted_field(idx, "A", seed=0)
     assert field == "F18"
     assert subfield == "102"
 
@@ -94,50 +100,50 @@ def test_assign_field_citation_tie_break():
         [("p1", "102"), ("p2", "102"), ("p3", "201"), ("p4", "201")],
         citations_per_paper={"p1": 6, "p2": 4, "p3": 3, "p4": 2},
     )
-    assert assign_field(idx, "A", seed=0)[0] == "F18"
+    assert voted_field(idx, "A", seed=0)[0] == "F18"
 
     idx2 = _field_corpus(
         [("p1", "102"), ("p2", "102"), ("p3", "201"), ("p4", "201")],
         citations_per_paper={"p1": 1, "p3": 9},
     )
-    assert assign_field(idx2, "A", seed=0)[0] == "F05"
+    assert voted_field(idx2, "A", seed=0)[0] == "F05"
 
 
 def test_assign_field_random_tie_break_is_deterministic():
     idx = _field_corpus([("p1", "102"), ("p2", "201")])
-    first = assign_field(idx, "A", seed=123)
+    first = voted_field(idx, "A", seed=123)
     for _ in range(5):
-        assert assign_field(idx, "A", seed=123) == first
-    picks = {assign_field(idx, "A", seed=s)[0] for s in range(40)}
+        assert voted_field(idx, "A", seed=123) == first
+    picks = {voted_field(idx, "A", seed=s)[0] for s in range(40)}
     assert picks == {"F18", "F05"}  # both sides reachable across seeds
 
 
 def test_assign_field_strict_majority_unaffected_by_seed():
     idx = _field_corpus([("p1", "102"), ("p2", "102"), ("p3", "201")])
-    assert {assign_field(idx, "A", seed=s) for s in range(20)} == {("F18", "102")}
+    assert {voted_field(idx, "A", seed=s) for s in range(20)} == {("F18", "102")}
 
 
 def test_assign_subfield_majority_within_field():
     idx = _field_corpus([("p1", "102"), ("p2", "103"), ("p3", "103"), ("p4", "201")])
-    field, subfield = assign_field(idx, "A", seed=0)
+    field, subfield = voted_field(idx, "A", seed=0)
     assert (field, subfield) == ("F18", "103")
 
 
 def test_assign_field_none_without_classified_papers():
     idx = _field_corpus([("p1", None), ("p2", None)])
-    assert assign_field(idx, "A", seed=0) is None
+    assert voted_field(idx, "A", seed=0) is None
 
 
 def test_assign_field_ignores_non_full_papers():
     papers = [("p1", "other", "102"), ("p2", "article", "201")]
     ships = [("p1", "A"), ("p2", "A")]
     idx = make_index(papers, ships, [])
-    assert assign_field(idx, "A", seed=0) == ("F05", "201")
+    assert voted_field(idx, "A", seed=0) == ("F05", "201")
 
 
 def test_assign_field_unknown_subfield_treated_as_unclassified():
     idx = _field_corpus([("p1", "999"), ("p2", "201")])
-    assert assign_field(idx, "A", seed=0) == ("F05", "201")
+    assert voted_field(idx, "A", seed=0) == ("F05", "201")
 
 
 def test_assign_fields_batch_omits_unclassified():

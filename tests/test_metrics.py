@@ -7,7 +7,6 @@ import pytest
 
 from citegraph.metrics import (
     UndefinedMetricError,
-    a50_coauthors,
     a50pc_greedy,
     a50pc_oracle,
     a50pc_oracle_selections,
@@ -15,12 +14,18 @@ from citegraph.metrics import (
     citation_counts,
     compute_all_metrics,
     format_2dp,
-    full_papers,
     h_index,
-    shared_coauthor_counts,
 )
 
-from conftest import brute_force_h, make_index, random_corpus
+from conftest import (
+    a50_of,
+    brute_force_h,
+    coauthor_counts,
+    full_of,
+    make_index,
+    no_fields,
+    random_corpus,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +85,7 @@ def _single_contributor_index():
 
 def test_a50pc_single_contributor_covers_everything():
     idx = _single_contributor_index()
-    assert a50pc_greedy(idx, "E") == 1
+    assert a50pc_greedy(idx, full_of(idx, "E")) == 1
     assert a50pc_oracle(idx, "E") == 1
 
 
@@ -97,7 +102,7 @@ def test_a50pc_multi_paper_contributions():
     ships = [("e1", "E"), ("e2", "E"), ("P1", "X"), ("P1", "Y"), ("P2", "X"), ("P3", "Z")]
     edges = [("P1", "e1"), ("P1", "e2"), ("P2", "e1"), ("P3", "e2")]
     idx = make_index(papers, ships, edges)
-    assert a50pc_greedy(idx, "E") == 1
+    assert a50pc_greedy(idx, full_of(idx, "E")) == 1
     assert a50pc_oracle(idx, "E") == 1
 
 
@@ -106,7 +111,7 @@ def test_a50pc_ten_equal_contributors_need_five():
     ships = [("e1", "E")] + [(f"u{i}", f"x{i}") for i in range(10)]
     edges = [(f"u{i}", "e1") for i in range(10)]
     idx = make_index(papers, ships, edges)
-    assert a50pc_greedy(idx, "E") == 5
+    assert a50pc_greedy(idx, full_of(idx, "E")) == 5
     assert a50pc_oracle(idx, "E") == 5
 
 
@@ -118,14 +123,14 @@ def test_a50pc_self_citer_selected_first():
     ships = [(f"s{i}", "S") for i in range(7)] + [(f"x{i}", f"other{i}") for i in range(4)]
     edges = [(f"s{i}", "s0") for i in range(1, 7)] + [(f"x{i}", "s0") for i in range(4)]
     idx = make_index(papers, ships, edges)
-    assert a50pc_greedy(idx, "S") == 1
+    assert a50pc_greedy(idx, full_of(idx, "S")) == 1
     assert a50pc_oracle(idx, "S") == 1
 
 
 def test_a50pc_undefined_without_citations():
     idx = make_index([("p1", "article", None)], [("p1", "A")], [])
     with pytest.raises(UndefinedMetricError):
-        a50pc_greedy(idx, "A")
+        a50pc_greedy(idx, full_of(idx, "A"))
     with pytest.raises(UndefinedMetricError):
         a50pc_oracle(idx, "A")
 
@@ -142,7 +147,7 @@ def test_a50pc_errors_when_half_cannot_be_attributed():
     edges = [("u1", "e1"), ("u2", "e1"), ("u2", "e2")]
     idx = make_index(papers, ships, edges)
     with pytest.raises(UndefinedMetricError):
-        a50pc_greedy(idx, "E")
+        a50pc_greedy(idx, full_of(idx, "E"))
     with pytest.raises(UndefinedMetricError):
         a50pc_oracle(idx, "E")
 
@@ -166,9 +171,9 @@ def test_a50pc_greedy_equals_oracle_on_random_corpora():
                 expected = a50pc_oracle(idx, author)
             except UndefinedMetricError:
                 with pytest.raises(UndefinedMetricError):
-                    a50pc_greedy(idx, author)
+                    a50pc_greedy(idx, full_of(idx, author))
                 continue
-            assert a50pc_greedy(idx, author) == expected
+            assert a50pc_greedy(idx, full_of(idx, author)) == expected
             checked += 1
     assert checked > 100
 
@@ -209,7 +214,7 @@ def test_a50_solo_author_is_zero():
     papers = [(f"p{i}", "article", None) for i in range(60)]
     ships = [(f"p{i}", "A") for i in range(60)]
     idx = make_index(papers, ships, [])
-    assert a50_coauthors(idx, "A") == 0
+    assert a50_of(idx, "A") == 0
 
 
 def test_a50_threshold_is_strict():
@@ -220,9 +225,9 @@ def test_a50_threshold_is_strict():
     for i in range(51, 101):  # exactly 50 shared with C
         ships += [(f"p{i}", "A"), (f"p{i}", "C")]
     idx = make_index(papers, ships, [])
-    assert shared_coauthor_counts(idx, "A") == {"B": 51, "C": 50}
-    assert a50_coauthors(idx, "A") == 1
-    assert a50_coauthors(idx, "A", threshold=49) == 2
+    assert coauthor_counts(idx, "A") == {"B": 51, "C": 50}
+    assert a50_of(idx, "A") == 1
+    assert a50_of(idx, "A", threshold=49) == 2
 
 
 def test_a50_nine_person_team():
@@ -231,14 +236,14 @@ def test_a50_nine_person_team():
     ships = [(f"p{i}", a) for i in range(60) for a in authors]
     idx = make_index(papers, ships, [])
     for a in authors:
-        assert a50_coauthors(idx, a) == 8
+        assert a50_of(idx, a) == 8
 
 
 def test_a50_only_counts_full_papers():
     papers = [(f"p{i}", "other", None) for i in range(60)]
     ships = [(f"p{i}", a) for i in range(60) for a in ("A", "B")]
     idx = make_index(papers, ships, [])
-    assert a50_coauthors(idx, "A") == 0
+    assert a50_of(idx, "A") == 0
 
 
 def test_a50_symmetry_on_random_corpora():
@@ -247,7 +252,7 @@ def test_a50_symmetry_on_random_corpora():
         idx = random_corpus(rng, max_authors=12, max_edges=50)
         threshold = rng.choice((0, 1, 2))
         over = {
-            a: {b for b, n in shared_coauthor_counts(idx, a).items() if n > threshold}
+            a: {b for b, n in coauthor_counts(idx, a).items() if n > threshold}
             for a in idx.papers_of
         }
         for a, partners in over.items():
@@ -261,14 +266,14 @@ def test_a50_symmetry_on_random_corpora():
 
 def test_compute_all_metrics_empty_cohort():
     idx = make_index([("p1", "article", None)], [("p1", "A")], [])
-    assert compute_all_metrics(idx, set()) == {}
+    assert compute_all_metrics(idx, {}) == {}
 
 
 def test_compute_all_metrics_order_and_thread_invariance():
     idx = _single_contributor_index()
     cohort = ["E"]
-    m1 = compute_all_metrics(idx, cohort)
-    m2 = compute_all_metrics(idx, reversed(cohort))
+    m1 = compute_all_metrics(idx, no_fields(cohort))
+    m2 = compute_all_metrics(idx, no_fields(reversed(cohort)))
     assert m1 == m2
     assert m1["E"].citations == 2
     assert m1["E"].h_index == 1
@@ -281,14 +286,14 @@ def test_citing_full_only_excludes_non_full_citers():
     ships = [("e1", "E"), ("u1", "X"), ("u2", "Y")]
     edges = [("u1", "e1"), ("u2", "e1")]
     idx = make_index(papers, ships, edges)
-    assert sum(citation_counts(idx, full_papers(idx, "E"))) == 2  # any doc type may cite
+    assert sum(citation_counts(idx, full_of(idx, "E"))) == 2  # any doc type may cite
 
 
 def test_only_full_papers_receive_countable_citations():
     papers = [("e1", "other", None), ("u1", "article", None)]
     ships = [("e1", "E"), ("u1", "X")]
     idx = make_index(papers, ships, [("u1", "e1")])
-    assert sum(citation_counts(idx, full_papers(idx, "E"))) == 0
+    assert sum(citation_counts(idx, full_of(idx, "E"))) == 0
 
 
 def test_compute_all_metrics_composes_per_op_values():
@@ -307,7 +312,7 @@ def test_compute_all_metrics_composes_per_op_values():
     edges += [("P1", "g1"), ("P1", "g2"), ("P2", "g1"), ("P3", "g2")]
     idx = make_index(papers, ships, edges)
 
-    metrics = compute_all_metrics(idx, {"E", "F", "G"})
+    metrics = compute_all_metrics(idx, no_fields({"E", "F", "G"}))
     assert metrics["E"].a50pc == 1 and metrics["E"].citations == 2 and metrics["E"].h_index == 1
     assert metrics["F"].a50pc == 5 and metrics["F"].citations == 10
     assert metrics["G"].a50pc == 1 and metrics["G"].citations == 4
@@ -326,7 +331,7 @@ def test_compute_all_metrics_invariants_on_random_corpora():
             if any(idx.citers_of.get(p) for p in idx.papers_of[a])
         ][:5]
         try:
-            metrics = compute_all_metrics(idx, cohort)
+            metrics = compute_all_metrics(idx, no_fields(cohort))
         except UndefinedMetricError:
             continue
         for m in metrics.values():

@@ -17,10 +17,9 @@ from citegraph.metrics import (
     UndefinedMetricError,
     a50pc_greedy,
     a50pc_oracle,
-    shared_coauthor_counts,
 )
 
-from conftest import make_index
+from conftest import coauthor_counts, full_of, make_index
 
 EXAMINED = "e"
 POOL = ["a", "b", "c", "d", EXAMINED, "f"]
@@ -98,7 +97,8 @@ def _a50pc_or_undefined(fn, index):
 @given(team_corpora())
 def test_a50pc_greedy_matches_oracle_on_team_corpora(rows):
     index = make_index(*rows)
-    assert _a50pc_or_undefined(a50pc_greedy, index) == _a50pc_or_undefined(a50pc_oracle, index)
+    greedy = _a50pc_or_undefined(lambda idx, a: a50pc_greedy(idx, full_of(idx, a)), index)
+    assert greedy == _a50pc_or_undefined(a50pc_oracle, index)
 
 
 @settings(max_examples=300, deadline=None)
@@ -112,4 +112,4 @@ def test_shared_coauthor_counts_matches_per_paper_count(rows):
         for other in index.authors_of[p]:
             if other != EXAMINED:
                 expected[other] = expected.get(other, 0) + 1
-    assert shared_coauthor_counts(index, EXAMINED) == expected
+    assert coauthor_counts(index, EXAMINED) == expected

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from citegraph.cohort import EligibilityConfig, assign_fields, eligible_authors
+from citegraph.cohort import EligibilityConfig, eligible_authors
 from citegraph.corpus import build_index
-from citegraph.metrics import compute_all_metrics, shared_coauthor_counts
+from citegraph.metrics import compute_all_metrics
 from citegraph.synth import (
     LABEL_BACKGROUND,
     LABEL_CARTEL,
@@ -22,6 +22,8 @@ from citegraph.synth import (
     write_corpus,
     write_truth,
 )
+
+from conftest import coauthor_counts
 
 SMALL = SynthConfig(
     seed=7,
@@ -55,8 +57,7 @@ def small_corpus():
 def small_analysis(small_corpus):
     idx = _index(small_corpus)
     cohort = eligible_authors(idx, EligibilityConfig(seed=3))
-    fields = assign_fields(idx, sorted(cohort), 3)
-    metrics = compute_all_metrics(idx, cohort, field_assignments=fields)
+    metrics = compute_all_metrics(idx, cohort)
     return idx, metrics
 
 
@@ -128,7 +129,7 @@ def test_hyperteam_members_share_papers(small_corpus, small_analysis):
     team = small_corpus.truth.authors_with(LABEL_HYPERTEAM)
     for author in team:
         assert metrics[author].a50 == SMALL.team_size - 1
-        shared = shared_coauthor_counts(idx, author)
+        shared = coauthor_counts(idx, author)
         for other in team - {author}:
             assert shared[other] >= SMALL.joint_papers
 
