@@ -2,8 +2,6 @@
 
 from .cohort import EligibilityConfig, assign_fields, eligible_authors
 from .corpus import (
-    AuthorshipRecord,
-    CitationEdge,
     CorpusError,
     CorpusIndex,
     DocType,
@@ -50,8 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuthorMetrics",
-    "AuthorshipRecord",
-    "CitationEdge",
     "CitegraphError",
     "ContingencyTable",
     "CorpusError",

@@ -373,8 +373,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     corpus = synth_mod.generate(cfg)
     paths = synth_mod.write_corpus(corpus, args.out)
     print(
-        f"synth complete: {len(corpus.papers)} papers, "
-        f"{len(corpus.citations)} citation edges -> {Path(args.out)}"
+        f"synth complete: {len(corpus.paper_ids)} papers, "
+        f"{len(corpus.citing)} citation edges -> {Path(args.out)}"
     )
     for name in ("papers", "authorships", "citations", "taxonomy", "truth"):
         print(f"  {paths[name]}")

@@ -69,19 +69,8 @@ class PaperRecord:
     subfield_id: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorshipRecord:
-    paper_id: str
-    author_id: str
-
-
-@dataclass(frozen=True, slots=True)
-class CitationEdge:
-    citing_paper_id: str
-    cited_paper_id: str
-
-
-#: Row shapes that build_index consumes and the ingest parsers yield.
+#: Row shapes that build_index consumes, the ingest parsers yield and the
+#: ingest writers and a synth corpus's row iterators produce.
 PaperRow = tuple[str, DocType, str | None]
 AuthorshipRow = tuple[str, str]
 CitationRow = tuple[str, str]

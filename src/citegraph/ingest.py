@@ -26,6 +26,10 @@ IngestError carries the line and, when the source has a name, starts with
 it.
 
 Ids are yielded as read; corpus.build_index interns the ones it keeps.
+
+The writers take the same row shapes, so a synth corpus is written from its
+`paper_rows()`, `authorship_rows()` and `citation_rows()`, and whatever a
+writer writes, its parser yields back.
 """
 
 from __future__ import annotations
@@ -38,13 +42,10 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from .corpus import (
-    AuthorshipRecord,
     AuthorshipRow,
-    CitationEdge,
     CitationRow,
     DocType,
     FieldTaxonomy,
-    PaperRecord,
     PaperRow,
     SubfieldInfo,
 )
@@ -269,22 +270,20 @@ def _write_rows(path: str, header: list[str], rows: Iterable[Iterable[str]]) -> 
     return n
 
 
-def write_papers(path: str, records: Iterable[PaperRecord]) -> int:
+def write_papers(path: str, rows: Iterable[PaperRow]) -> int:
     return _write_rows(
         path,
         PAPERS_HEADER,
-        ((r.paper_id, r.doc_type.value, r.subfield_id or "") for r in records),
+        ((paper_id, doc_type.value, subfield_id or "") for paper_id, doc_type, subfield_id in rows),
     )
 
 
-def write_authorships(path: str, records: Iterable[AuthorshipRecord]) -> int:
-    return _write_rows(path, AUTHORSHIPS_HEADER, ((r.paper_id, r.author_id) for r in records))
+def write_authorships(path: str, rows: Iterable[AuthorshipRow]) -> int:
+    return _write_rows(path, AUTHORSHIPS_HEADER, rows)
 
 
-def write_citations(path: str, records: Iterable[CitationEdge]) -> int:
-    return _write_rows(
-        path, CITATIONS_HEADER, ((r.citing_paper_id, r.cited_paper_id) for r in records)
-    )
+def write_citations(path: str, rows: Iterable[CitationRow]) -> int:
+    return _write_rows(path, CITATIONS_HEADER, rows)
 
 
 def write_taxonomy(path: str, taxonomy: FieldTaxonomy) -> int:

@@ -26,6 +26,15 @@ lower-tail recall deterministic.
 
 Generation is single-seeded and ordered, so a fixed config yields
 byte-identical files on every run.
+
+The corpus is held as columns, not as one record object per row. A paper is
+its number, the order in which it was created, and has an id string, a
+DocType and a subfield. Authorships are an `array('i')` of paper numbers
+beside a list that references the author-id strings, and citations are two
+`array('i')` of citing and cited paper numbers, so an edge costs 8 bytes.
+`SynthCorpus.paper_rows`, `authorship_rows` and `citation_rows` turn the
+columns into the tuples that the ingest parsers yield, lazily, for the
+ingest writers and for `corpus.build_index`.
 """
 
 from __future__ import annotations
@@ -33,16 +42,17 @@ from __future__ import annotations
 import csv
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .corpus import (
-    AuthorshipRecord,
-    CitationEdge,
+    AuthorshipRow,
+    CitationRow,
     DocType,
     FieldTaxonomy,
-    PaperRecord,
+    PaperRow,
     SubfieldInfo,
 )
 from .errors import CitegraphError, not_utf8
@@ -69,6 +79,8 @@ _PLANT_H = 32  # smallest h with h*h >= _MIN_ELIGIBLE_CITATIONS
 _BACKGROUND_RATIO_FLOOR = 2.2
 _TEAM_H = 25
 _TEAM_CITATIONS = 2300
+# Light background authors have at most this many full papers.
+_LIGHT_MAX_PAPERS = 12
 
 
 class SynthConfigError(CitegraphError):
@@ -138,6 +150,12 @@ class SynthConfig:
             raise SynthConfigError("h_range bounds must satisfy 8 <= lo <= hi")
         if self.papers_per_author[1] < self.h_range[1] + 6:
             raise SynthConfigError("papers_per_author upper bound must be at least h_range upper + 6")
+        if self.n_background_authors > self.n_established and self.papers_per_author[0] > min(
+            _LIGHT_MAX_PAPERS, self.papers_per_author[1]
+        ):
+            raise SynthConfigError(
+                f"light authors need papers_per_author lower bound <= {_LIGHT_MAX_PAPERS}"
+            )
         if self.light_citations[0] < 0 or self.light_citations[0] > self.light_citations[1]:
             raise SynthConfigError("light_citations bounds must satisfy 0 <= lo <= hi")
 
@@ -164,27 +182,48 @@ class GroundTruth:
 
 @dataclass
 class SynthCorpus:
-    papers: list[PaperRecord]
-    authorships: list[AuthorshipRecord]
-    citations: list[CitationEdge]
+    """A generated corpus in columns; paper numbers index the paper columns.
+
+    paper_ids, doc_types and subfields hold one entry per paper. Authorship
+    k is (paper authorship_papers[k], author authorship_authors[k]) and
+    citation k is (paper citing[k] cites paper cited[k]), both in creation
+    order.
+    """
+
     taxonomy: FieldTaxonomy
-    truth: GroundTruth
+    truth: GroundTruth = field(default_factory=lambda: GroundTruth(labels={}))
+    paper_ids: list[str] = field(default_factory=list)
+    doc_types: list[DocType] = field(default_factory=list)
+    subfields: list[str | None] = field(default_factory=list)
+    authorship_papers: array = field(default_factory=lambda: array("i"))
+    authorship_authors: list[str] = field(default_factory=list)
+    citing: array = field(default_factory=lambda: array("i"))
+    cited: array = field(default_factory=lambda: array("i"))
+
+    def paper_rows(self) -> Iterator[PaperRow]:
+        """`(paper_id, DocType, subfield_id or None)` per paper, in creation order."""
+        return zip(self.paper_ids, self.doc_types, self.subfields)
+
+    def authorship_rows(self) -> Iterator[AuthorshipRow]:
+        """`(paper_id, author_id)` per authorship, in creation order."""
+        return zip(map(self.paper_ids.__getitem__, self.authorship_papers), self.authorship_authors)
+
+    def citation_rows(self) -> Iterator[CitationRow]:
+        """`(citing_paper_id, cited_paper_id)` per citation edge, in creation order."""
+        paper_id = self.paper_ids.__getitem__
+        return zip(map(paper_id, self.citing), map(paper_id, self.cited))
 
 
 @dataclass
 class _Builder:
     rng: random.Random
-    taxonomy: FieldTaxonomy
-    papers: list[PaperRecord] = field(default_factory=list)
-    authorships: list[AuthorshipRecord] = field(default_factory=list)
-    citations: list[CitationEdge] = field(default_factory=list)
+    corpus: SynthCorpus
     labels: dict[str, tuple[str, str]] = field(default_factory=dict)
-    _counter: int = 0
     _fields: list[str] = field(default_factory=list)
     _subfields_by_field: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for entry in self.taxonomy:
+        for entry in self.corpus.taxonomy:
             self._subfields_by_field.setdefault(entry.field_id, []).append(entry.subfield_id)
         self._fields = sorted(self._subfields_by_field)
 
@@ -202,16 +241,21 @@ class _Builder:
 
     def new_paper(
         self, authors: Iterable[str], doc_type: DocType, subfield_id: str | None
-    ) -> str:
-        pid = f"p{self._counter:07d}"
-        self._counter += 1
-        self.papers.append(PaperRecord(pid, doc_type, subfield_id))
+    ) -> int:
+        """Add a paper and its authorships; returns the paper number."""
+        corpus = self.corpus
+        paper = len(corpus.paper_ids)
+        corpus.paper_ids.append(f"p{paper:07d}")
+        corpus.doc_types.append(doc_type)
+        corpus.subfields.append(subfield_id)
         for author_id in authors:
-            self.authorships.append(AuthorshipRecord(pid, author_id))
-        return pid
+            corpus.authorship_papers.append(paper)
+            corpus.authorship_authors.append(author_id)
+        return paper
 
-    def cite(self, citing: str, cited: str) -> None:
-        self.citations.append(CitationEdge(citing, cited))
+    def cite(self, citing: int, cited: int) -> None:
+        self.corpus.citing.append(citing)
+        self.corpus.cited.append(cited)
 
 
 def _top_allocation(budget: int, n: int, alpha: float) -> list[int]:
@@ -224,7 +268,7 @@ def _top_allocation(budget: int, n: int, alpha: float) -> list[int]:
     return shares
 
 
-def _schedule_batches(rng: random.Random, targets: list[tuple[str, int]], batch: tuple[int, int]):
+def _schedule_batches(rng: random.Random, targets: list[tuple[int, int]], batch: tuple[int, int]):
     """Yield batches of distinct papers whose multiplicities realize the targets exactly."""
     remaining = [(pid, c) for pid, c in targets if c > 0]
     while remaining:
@@ -240,11 +284,11 @@ def _schedule_batches(rng: random.Random, targets: list[tuple[str, int]], batch:
 class _CitingPool:
     """Draws citing papers from the background population, never from the cited author."""
 
-    def __init__(self, rng: random.Random, papers_by_author: list[list[str]]):
+    def __init__(self, rng: random.Random, papers_by_author: list[list[int]]):
         self.rng = rng
         self.papers_by_author = papers_by_author
 
-    def draw(self, exclude_author_index: int | None, used: set[str]) -> str | None:
+    def draw(self, exclude_author_index: int | None, used: set[int]) -> int | None:
         n = len(self.papers_by_author)
         if n == 0 or (n == 1 and exclude_author_index == 0):
             return None
@@ -267,10 +311,10 @@ def _place_from_pool(
     builder: _Builder,
     pool: _CitingPool,
     exclude_author_index: int | None,
-    targets: list[tuple[str, int]],
+    targets: list[tuple[int, int]],
     batch: tuple[int, int],
 ) -> None:
-    used: set[str] = set()
+    used: set[int] = set()
     for papers in _schedule_batches(builder.rng, targets, batch):
         u = pool.draw(exclude_author_index, used)
         if u is None:
@@ -279,7 +323,7 @@ def _place_from_pool(
             builder.cite(u, p)
 
 
-def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[list[list[str]], list[int]]:
+def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[list[list[int]], list[int]]:
     """Create background authors and their papers.
 
     Returns the per-author full-paper lists and, for established authors,
@@ -288,7 +332,7 @@ def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[list[list[st
     rng = builder.rng
     n = cfg.n_background_authors
     n_established = cfg.n_established
-    papers_by_author: list[list[str]] = []
+    papers_by_author: list[list[int]] = []
     h_by_author: list[int] = []
     for i in range(n):
         author_id = f"b{i:06d}"
@@ -300,7 +344,9 @@ def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[list[list[st
             n_other = rng.choice((0, 0, 0, 1, 2))
         else:
             h = 0
-            n_full = rng.randint(cfg.papers_per_author[0], min(12, cfg.papers_per_author[1]))
+            n_full = rng.randint(
+                cfg.papers_per_author[0], min(_LIGHT_MAX_PAPERS, cfg.papers_per_author[1])
+            )
             n_other = 1 if rng.random() < 0.1 else 0
         full = [
             builder.new_paper([author_id], DocType.ARTICLE, builder.paper_subfield(home))
@@ -324,7 +370,7 @@ def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[list[list[st
 def _cite_background(
     builder: _Builder,
     cfg: SynthConfig,
-    papers_by_author: list[list[str]],
+    papers_by_author: list[list[int]],
     h_by_author: list[int],
 ) -> None:
     rng = builder.rng
@@ -381,7 +427,7 @@ def _build_cartels(builder: _Builder, cfg: SynthConfig) -> None:
     for c in range(cfg.n_cartels):
         group = f"cartel{c:02d}"
         members = [f"c{c:02d}m{k:02d}" for k in range(cfg.cartel_size)]
-        member_papers: list[list[str]] = []
+        member_papers: list[list[int]] = []
         for author_id in members:
             builder.labels[author_id] = (LABEL_CARTEL, group)
             home = builder.pick_home_field()
@@ -396,7 +442,7 @@ def _build_cartels(builder: _Builder, cfg: SynthConfig) -> None:
         # h top papers, so a few partners cover all citations.
         per_partner = math.ceil(h / (cfg.cartel_size - 1))
         for k in range(cfg.cartel_size):
-            citing: list[str] = []
+            citing: list[int] = []
             for j in range(cfg.cartel_size):
                 if j != k:
                     citing.extend(member_papers[j][:per_partner])
@@ -407,7 +453,7 @@ def _build_cartels(builder: _Builder, cfg: SynthConfig) -> None:
 
 
 def _build_hyperteams(
-    builder: _Builder, cfg: SynthConfig, pool_papers: list[list[str]]
+    builder: _Builder, cfg: SynthConfig, pool_papers: list[list[int]]
 ) -> None:
     rng = builder.rng
     pool = _CitingPool(rng, pool_papers)
@@ -432,7 +478,7 @@ def _build_hyperteams(
                 builder.cite(papers[(j + 1 + s) % n], papers[j])
             n_extern = c - n_intra
             if n_extern > 0:
-                used: set[str] = set()
+                used: set[int] = set()
                 for _ in range(n_extern):
                     u = pool.draw(None, used)
                     if u is None:
@@ -442,20 +488,14 @@ def _build_hyperteams(
 
 def generate(cfg: SynthConfig) -> SynthCorpus:
     """Build the full synthetic corpus for a config; same config, same corpus."""
-    taxonomy = default_taxonomy()
-    builder = _Builder(rng=random.Random(cfg.seed), taxonomy=taxonomy)
+    builder = _Builder(rng=random.Random(cfg.seed), corpus=SynthCorpus(default_taxonomy()))
     background_papers, background_h = _build_background(builder, cfg)
     _build_self_citers(builder, cfg)
     _build_cartels(builder, cfg)
     _build_hyperteams(builder, cfg, background_papers)
     _cite_background(builder, cfg, background_papers, background_h)
-    return SynthCorpus(
-        papers=builder.papers,
-        authorships=builder.authorships,
-        citations=builder.citations,
-        taxonomy=taxonomy,
-        truth=GroundTruth(labels=builder.labels),
-    )
+    builder.corpus.truth = GroundTruth(labels=builder.labels)
+    return builder.corpus
 
 
 def write_truth(path: str | Path, truth: GroundTruth) -> int:
@@ -511,9 +551,9 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
         "taxonomy": out / "taxonomy.csv",
         "truth": out / "truth.csv",
     }
-    write_papers(str(paths["papers"]), corpus.papers)
-    write_authorships(str(paths["authorships"]), corpus.authorships)
-    write_citations(str(paths["citations"]), corpus.citations)
+    write_papers(str(paths["papers"]), corpus.paper_rows())
+    write_authorships(str(paths["authorships"]), corpus.authorship_rows())
+    write_citations(str(paths["citations"]), corpus.citation_rows())
     write_taxonomy(str(paths["taxonomy"]), corpus.taxonomy)
     write_truth(paths["truth"], corpus.truth)
     return paths

@@ -1,14 +1,18 @@
-"""The benchmark's traced run still finds the functions it wraps by name.
+"""The benchmark's child entry points still find what they use of citegraph.
 
 bench/child.py replaces module attributes of citegraph with span-recording
-wrappers. This runs its `trace-run` entry point on a tiny corpus, in a
-separate process as the benchmark does, and checks that every per-author
-indicator is traced once per cohort author, inside that author's
-metrics.compute_author_metrics span. It writes nothing under bench/.
+wrappers. The first test runs its `trace-run` entry point on a tiny corpus,
+in a separate process as the benchmark does, and checks that every
+per-author indicator is traced once per cohort author, inside that author's
+metrics.compute_author_metrics span. The second runs its `setup` entry point,
+which calls synth.generate and synth.write_corpus, and checks the files it
+writes against an in-process write of the same workload config. Neither
+writes anything under bench/.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,9 +21,31 @@ from collections import Counter
 from pathlib import Path
 
 from citegraph.cli import main
+from citegraph.synth import SynthConfig, generate, write_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 INDICATORS = ("citation_counts", "h_index", "c_over_h2", "a50pc_greedy", "a50_coauthors")
+
+
+def _child_env() -> dict[str, str]:
+    """The environment the benchmark starts its children in: src on the path, no bytecode."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def _bench_workloads():
+    """bench/workloads.py's WORKLOADS, imported without writing bytecode under bench/."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.modules[spec.name] = module  # dataclasses look the module up while it runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+    return module.WORKLOADS
 
 
 def test_trace_run_nests_each_indicator_under_the_per_author_kernel(tmp_path):
@@ -34,12 +60,10 @@ def test_trace_run_nests_each_indicator_under_the_per_author_kernel(tmp_path):
         run += [f"--{name}", str(corpus / f"{name}.csv")]
 
     trace = tmp_path / "spans.json"
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "child.py"), "trace-run",
          "--trace-out", str(trace), "--", *run],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
 
@@ -50,3 +74,19 @@ def test_trace_run_nests_each_indicator_under_the_per_author_kernel(tmp_path):
     for indicator in INDICATORS:
         parents = [s["parent"] for s in spans if s["name"] == f"metrics.{indicator}"]
         assert Counter(parents) == Counter(kernels), indicator
+
+
+def test_setup_writes_the_corpus_that_synth_writes_in_process(tmp_path):
+    seed = 1
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), "setup", "--workload", "collab",
+         "--scale", "toy", "--seed", str(seed), "--out", str(tmp_path / "child")],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+    scale = _bench_workloads()["collab"].scales["toy"]
+    expected = write_corpus(generate(SynthConfig(seed=seed, **scale.synth)), tmp_path / "direct")
+    assert len(expected) == 5
+    for name, path in expected.items():
+        assert (tmp_path / "child" / path.name).read_bytes() == path.read_bytes(), name

@@ -15,7 +15,6 @@ from citegraph.ingest import (
     write_citations,
     write_papers,
 )
-from citegraph.corpus import CitationEdge, PaperRecord
 
 
 def _stream(text: str) -> io.BytesIO:
@@ -114,17 +113,17 @@ def test_byte_identical_files_yield_identical_records():
 
 
 def test_writers_round_trip(tmp_path):
-    papers = [PaperRecord("p1", DocType.ARTICLE, "102"), PaperRecord("p2", DocType.OTHER, None)]
+    papers = [("p1", DocType.ARTICLE, "102"), ("p2", DocType.OTHER, None)]
     path = tmp_path / "papers.csv"
     write_papers(str(path), papers)
     with open(path, "rb") as fh:
-        assert list(parse_papers(fh)) == [(p.paper_id, p.doc_type, p.subfield_id) for p in papers]
+        assert list(parse_papers(fh)) == papers
 
-    edges = [CitationEdge("p2", "p1")]
+    edges = [("p2", "p1")]
     cpath = tmp_path / "citations.csv"
     write_citations(str(cpath), edges)
     with open(cpath, "rb") as fh:
-        assert list(parse_citations(fh)) == [(e.citing_paper_id, e.cited_paper_id) for e in edges]
+        assert list(parse_citations(fh)) == edges
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,13 +40,21 @@ SMALL = SynthConfig(
 )
 
 
+# sha256 of each file write_corpus(generate(SMALL)) writes. Any change to the
+# order of RNG calls or to the written format shows up here.
+SMALL_DIGESTS = {
+    "papers": "3d9284ebf55942b2c62b6b2ae0a20ed3e5fefde79a3ed84ff4289156adc295ce",
+    "authorships": "405ec8db42171fb02cfbcff8f95d7a5ec5d6fd42b8a714692af61e2930d55db2",
+    "citations": "b653be054564c27930b90d6e9704e7aec4e6a2b54bc4f8a113baec55283b913b",
+    "taxonomy": "3c3669597f344de7204e8dea25b9247b9f20d105ce9ebcbd6af41c25b5874eb2",
+    "truth": "00e95d0c65275662465fd7232328e4109ce2a4942eb9b5d1746af96deab0b22f",
+}
+
+
 def _index(corpus):
-    """build_index over a synth corpus, its records turned into parser-shaped tuples."""
+    """build_index over a synth corpus's row iterators."""
     return build_index(
-        [(p.paper_id, p.doc_type, p.subfield_id) for p in corpus.papers],
-        [(s.paper_id, s.author_id) for s in corpus.authorships],
-        [(e.citing_paper_id, e.cited_paper_id) for e in corpus.citations],
-        corpus.taxonomy,
+        corpus.paper_rows(), corpus.authorship_rows(), corpus.citation_rows(), corpus.taxonomy
     )
 
 
@@ -80,9 +90,27 @@ def test_different_seeds_differ(tmp_path):
     assert a["citations"].read_bytes() != b["citations"].read_bytes()
 
 
+def test_small_corpus_files_match_golden_digests(tmp_path, small_corpus):
+    paths = write_corpus(small_corpus, tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == SMALL_DIGESTS
+
+
+def test_generate_holds_at_most_16_bytes_per_citation_edge():
+    tracemalloc.start()
+    try:
+        corpus = generate(SMALL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_edges = len(corpus.citing)
+    assert n_edges > 300_000
+    assert peak / n_edges <= 16, f"{peak / n_edges:.1f} bytes per edge"
+
+
 def test_labels_partition_author_set(small_corpus):
     truth = small_corpus.truth
-    authors = {s.author_id for s in small_corpus.authorships}
+    authors = {author_id for _, author_id in small_corpus.authorship_rows()}
     assert set(truth.labels) == authors
     n = sum(len(truth.authors_with(l)) for l in
             (LABEL_BACKGROUND, LABEL_SELF_CITER, LABEL_CARTEL, LABEL_HYPERTEAM))
@@ -94,7 +122,7 @@ def test_generated_corpus_indexes_cleanly(small_corpus):
     assert idx.dropped_unknown_edges == 0
     assert idx.dropped_self_loops == 0
     assert idx.dropped_unknown_authorships == 0
-    assert idx.n_edges == len(small_corpus.citations)  # no duplicate edges generated
+    assert idx.n_edges == len(small_corpus.citing)  # no duplicate edges generated
 
 
 def test_planted_authors_are_eligible_and_extreme(small_corpus, small_analysis):
@@ -166,6 +194,17 @@ def test_infeasible_configs_rejected():
         SynthConfig(established_fraction=1.5)
     with pytest.raises(SynthConfigError):
         SynthConfig(n_background_authors=-1)
+
+
+def test_light_authors_need_a_nonempty_paper_range():
+    with pytest.raises(SynthConfigError, match="papers_per_author"):
+        SynthConfig(papers_per_author=(13, 56))
+    # Without light authors the lower bound is never drawn from.
+    cfg = SynthConfig(
+        n_background_authors=4, established_fraction=1.0, papers_per_author=(13, 56),
+        n_self_citers=0, n_cartels=0, n_hyperteams=0,
+    )
+    assert len(generate(cfg).paper_ids) > 0
 
 
 def test_evaluate_detection_full_recall(small_corpus):
