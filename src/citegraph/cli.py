@@ -10,9 +10,9 @@ Subcommands:
     evaluate      recall/precision of planted behaviors against a run's tails
 
 Report files are pure functions of (inputs, config, seed): reruns produce
-byte-identical bytes. Volatile facts (durations, peak memory) go to
-timings.json only; manifest.json carries the config echo, row accounting,
-and sha256 of every report file.
+byte-identical bytes. Volatile facts (durations, peak memory overall and
+after each stage) go to timings.json only; manifest.json carries the config
+echo, row accounting, and sha256 of every report file.
 """
 
 from __future__ import annotations
@@ -133,12 +133,25 @@ def _peak_rss_mb() -> float | None:
     return round(rss_kb / 1024.0, 1)
 
 
+def _vm_hwm_mb() -> float | None:
+    """This process's peak resident set so far (VmHWM), or None where /proc is missing."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 1)
+    except OSError:
+        pass
+    return None
+
+
 def run_pipeline(cfg: RunConfig) -> Path:
     """Execute the full pipeline; returns the output directory."""
     specs = cfg.tail_specs()  # rejects a bad percentile before any work is done
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
+    stages_peak: dict[str, float | None] = {}
     t_total = time.perf_counter()
 
     report = ingest_mod.IngestReport()
@@ -146,14 +159,17 @@ def run_pipeline(cfg: RunConfig) -> Path:
     index = _parse_inputs(cfg, report)
     timings["ingest_and_index"] = time.perf_counter() - t
     timings["index_finalise"] = index.finalise_s  # part of ingest_and_index
+    stages_peak["ingest_and_index"] = _vm_hwm_mb()
 
     t = time.perf_counter()
     cohort = cohort_mod.eligible_authors(index, cfg.eligibility)
     timings["cohort"] = time.perf_counter() - t
+    stages_peak["cohort"] = _vm_hwm_mb()
 
     t = time.perf_counter()
     all_metrics = metrics_mod.compute_all_metrics(index, cohort, a50_threshold=cfg.a50_threshold)
     timings["metrics"] = time.perf_counter() - t
+    stages_peak["metrics"] = _vm_hwm_mb()
 
     # Every report table is computed before the first file is written, so a
     # run that fails while reporting leaves no partial report set behind.
@@ -274,6 +290,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         name: _write_csv(out / name, header, rows) for name, (header, rows) in tables.items()
     }
     timings["reports"] = time.perf_counter() - t
+    stages_peak["reports"] = _vm_hwm_mb()
 
     manifest = {
         "schema": "citegraph-run-manifest@1",
@@ -329,6 +346,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     runtime = {
         "stages_s": {k: round(v, 3) for k, v in timings.items()},
         "peak_rss_mb": _peak_rss_mb(),
+        "stages_peak_rss_mb": stages_peak,
         "ingest_file_s": {
             name: round(st.duration_s, 3) for name, st in sorted(report.files.items())
         },
@@ -373,7 +391,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     corpus = synth_mod.generate(cfg)
     paths = synth_mod.write_corpus(corpus, args.out)
     print(
-        f"synth complete: {len(corpus.paper_ids)} papers, "
+        f"synth complete: {corpus.n_papers} papers, "
         f"{len(corpus.citing)} citation edges -> {Path(args.out)}"
     )
     for name in ("papers", "authorships", "citations", "taxonomy", "truth"):
@@ -411,7 +429,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         tail_path = run_dir / f"tail_{metric}.csv"
         if not tail_path.is_file():
             continue
-        with open(tail_path, "r", encoding="utf-8", newline="") as fh:
+        with open(tail_path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 next(reader, None)

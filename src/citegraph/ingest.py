@@ -1,4 +1,4 @@
-"""Streaming CSV parsers and writers for the four corpus files.
+"""Streaming CSV parsers for the four corpus files, and the taxonomy writer.
 
 Formats (UTF-8 with an optional BOM, RFC 4180 quoting, header row required):
 
@@ -27,9 +27,10 @@ it.
 
 Ids are yielded as read; corpus.build_index interns the ones it keeps.
 
-The writers take the same row shapes, so a synth corpus is written from its
-`paper_rows()`, `authorship_rows()` and `citation_rows()`, and whatever a
-writer writes, its parser yields back.
+`write_taxonomy` writes taxonomy.csv through `csv.writer`, since names are
+free text. The three record files of a synthetic corpus are written by
+`synth.write_corpus` straight from its columns, and the parsers yield back
+exactly its `paper_rows()`, `authorship_rows()` and `citation_rows()`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import io
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 from .corpus import (
     AuthorshipRow,
@@ -259,36 +260,13 @@ def parse_taxonomy(source: IO, stats: FileIngestStats | None = None) -> FieldTax
     return FieldTaxonomy(entries)
 
 
-def _write_rows(path: str, header: list[str], rows: Iterable[Iterable[str]]) -> int:
+def write_taxonomy(path: str, taxonomy: FieldTaxonomy) -> int:
+    """Write taxonomy.csv with csv quoting, since subfield and field names are free text."""
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerow(TAXONOMY_HEADER)
+        for e in taxonomy:
+            writer.writerow((e.subfield_id, e.subfield_name, e.field_id, e.field_name))
             n += 1
     return n
-
-
-def write_papers(path: str, rows: Iterable[PaperRow]) -> int:
-    return _write_rows(
-        path,
-        PAPERS_HEADER,
-        ((paper_id, doc_type.value, subfield_id or "") for paper_id, doc_type, subfield_id in rows),
-    )
-
-
-def write_authorships(path: str, rows: Iterable[AuthorshipRow]) -> int:
-    return _write_rows(path, AUTHORSHIPS_HEADER, rows)
-
-
-def write_citations(path: str, rows: Iterable[CitationRow]) -> int:
-    return _write_rows(path, CITATIONS_HEADER, rows)
-
-
-def write_taxonomy(path: str, taxonomy: FieldTaxonomy) -> int:
-    return _write_rows(
-        path,
-        TAXONOMY_HEADER,
-        ((e.subfield_id, e.subfield_name, e.field_id, e.field_name) for e in taxonomy),
-    )

@@ -27,14 +27,23 @@ lower-tail recall deterministic.
 Generation is single-seeded and ordered, so a fixed config yields
 byte-identical files on every run.
 
-The corpus is held as columns, not as one record object per row. A paper is
-its number, the order in which it was created, and has an id string, a
-DocType and a subfield. Authorships are an `array('i')` of paper numbers
-beside a list that references the author-id strings, and citations are two
-`array('i')` of citing and cited paper numbers, so an edge costs 8 bytes.
-`SynthCorpus.paper_rows`, `authorship_rows` and `citation_rows` turn the
-columns into the tuples that the ingest parsers yield, lazily, for the
-ingest writers and for `corpus.build_index`.
+The corpus is held as columns, with no Python object per paper or per edge.
+A paper is its number, the order in which it was created; its id is
+`"p%07d" % number` and is never stored. Its DocType and subfield
+are one byte, a position in `SynthCorpus.kinds`. Authorships are an
+`array('i')` of paper numbers beside a list that references the author-id
+strings, and citations are two `array('i')` of citing and cited paper
+numbers, so an edge costs 8 bytes. The per-author paper lists that drive
+the citation placement are one pair of `array('i')`, offsets and paper
+numbers, not one list per author.
+
+`write_corpus` formats each record row straight from the columns, one
+`%` formatting per row, without the csv module: every field it writes
+(the `p`/`b`/`s`/`c..m`/`t..m` ids, DocType values and the default
+subfield ids) holds no comma, quote or line break, so the bytes equal what
+`csv.writer` would write. `SynthCorpus.paper_rows`, `authorship_rows` and
+`citation_rows` yield the tuples that the ingest parsers yield, formatting
+ids as they go, for `corpus.build_index` and for checks against the files.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from .corpus import (
     SubfieldInfo,
 )
 from .errors import CitegraphError, not_utf8
-from .ingest import write_authorships, write_citations, write_papers, write_taxonomy
+from .ingest import AUTHORSHIPS_HEADER, CITATIONS_HEADER, PAPERS_HEADER, write_taxonomy
 from .stats import TailReport
 
 LABEL_BACKGROUND = "background"
@@ -81,6 +90,8 @@ _TEAM_H = 25
 _TEAM_CITATIONS = 2300
 # Light background authors have at most this many full papers.
 _LIGHT_MAX_PAPERS = 12
+
+_paper_id = "p%07d".__mod__  # the id of paper number n
 
 
 class SynthConfigError(CitegraphError):
@@ -184,34 +195,46 @@ class GroundTruth:
 class SynthCorpus:
     """A generated corpus in columns; paper numbers index the paper columns.
 
-    paper_ids, doc_types and subfields hold one entry per paper. Authorship
-    k is (paper authorship_papers[k], author authorship_authors[k]) and
-    citation k is (paper citing[k] cites paper cited[k]), both in creation
-    order.
+    Paper n has id `"p%07d" % n` and kind `kinds[paper_kinds[n]]`,
+    a `(DocType, subfield_id or None)` pair; kinds holds every pair the
+    taxonomy allows. Authorship k is (paper authorship_papers[k], author
+    authorship_authors[k]) and citation k is (paper citing[k] cites paper
+    cited[k]), both in creation order.
     """
 
     taxonomy: FieldTaxonomy
     truth: GroundTruth = field(default_factory=lambda: GroundTruth(labels={}))
-    paper_ids: list[str] = field(default_factory=list)
-    doc_types: list[DocType] = field(default_factory=list)
-    subfields: list[str | None] = field(default_factory=list)
+    kinds: tuple[tuple[DocType, str | None], ...] = field(init=False)
+    paper_kinds: bytearray = field(default_factory=bytearray)
     authorship_papers: array = field(default_factory=lambda: array("i"))
     authorship_authors: list[str] = field(default_factory=list)
     citing: array = field(default_factory=lambda: array("i"))
     cited: array = field(default_factory=lambda: array("i"))
 
+    def __post_init__(self) -> None:
+        subfield_ids = [None, *(entry.subfield_id for entry in self.taxonomy)]
+        self.kinds = tuple((d, s) for d in DocType for s in subfield_ids)
+        if len(self.kinds) > 256:
+            raise SynthConfigError(
+                f"{len(self.kinds)} (doc_type, subfield) kinds do not fit in one byte per paper"
+            )
+
+    @property
+    def n_papers(self) -> int:
+        return len(self.paper_kinds)
+
     def paper_rows(self) -> Iterator[PaperRow]:
         """`(paper_id, DocType, subfield_id or None)` per paper, in creation order."""
-        return zip(self.paper_ids, self.doc_types, self.subfields)
+        kinds = self.kinds
+        return ((_paper_id(n), *kinds[k]) for n, k in enumerate(self.paper_kinds))
 
     def authorship_rows(self) -> Iterator[AuthorshipRow]:
         """`(paper_id, author_id)` per authorship, in creation order."""
-        return zip(map(self.paper_ids.__getitem__, self.authorship_papers), self.authorship_authors)
+        return zip(map(_paper_id, self.authorship_papers), self.authorship_authors)
 
     def citation_rows(self) -> Iterator[CitationRow]:
         """`(citing_paper_id, cited_paper_id)` per citation edge, in creation order."""
-        paper_id = self.paper_ids.__getitem__
-        return zip(map(paper_id, self.citing), map(paper_id, self.cited))
+        return zip(map(_paper_id, self.citing), map(_paper_id, self.cited))
 
 
 @dataclass
@@ -221,11 +244,13 @@ class _Builder:
     labels: dict[str, tuple[str, str]] = field(default_factory=dict)
     _fields: list[str] = field(default_factory=list)
     _subfields_by_field: dict[str, list[str]] = field(default_factory=dict)
+    _kind_code: dict[tuple[DocType, str | None], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for entry in self.corpus.taxonomy:
             self._subfields_by_field.setdefault(entry.field_id, []).append(entry.subfield_id)
         self._fields = sorted(self._subfields_by_field)
+        self._kind_code = {kind: code for code, kind in enumerate(self.corpus.kinds)}
 
     def pick_home_field(self) -> str:
         return self.rng.choice(self._fields)
@@ -244,10 +269,8 @@ class _Builder:
     ) -> int:
         """Add a paper and its authorships; returns the paper number."""
         corpus = self.corpus
-        paper = len(corpus.paper_ids)
-        corpus.paper_ids.append(f"p{paper:07d}")
-        corpus.doc_types.append(doc_type)
-        corpus.subfields.append(subfield_id)
+        paper = len(corpus.paper_kinds)
+        corpus.paper_kinds.append(self._kind_code[doc_type, subfield_id])
         for author_id in authors:
             corpus.authorship_papers.append(paper)
             corpus.authorship_authors.append(author_id)
@@ -282,24 +305,30 @@ def _schedule_batches(rng: random.Random, targets: list[tuple[int, int]], batch:
 
 
 class _CitingPool:
-    """Draws citing papers from the background population, never from the cited author."""
+    """Draws citing papers from the background population, never from the cited author.
 
-    def __init__(self, rng: random.Random, papers_by_author: list[list[int]]):
+    Author j's papers are `papers[starts[j]:starts[j + 1]]`.
+    """
+
+    def __init__(self, rng: random.Random, starts: array, papers: array):
         self.rng = rng
-        self.papers_by_author = papers_by_author
+        self.starts = starts
+        self.papers = papers
 
     def draw(self, exclude_author_index: int | None, used: set[int]) -> int | None:
-        n = len(self.papers_by_author)
+        starts = self.starts
+        n = len(starts) - 1
         if n == 0 or (n == 1 and exclude_author_index == 0):
             return None
         for _ in range(1000):
             j = self.rng.randrange(n)
             if j == exclude_author_index:
                 continue
-            plist = self.papers_by_author[j]
-            if not plist:
+            start = starts[j]
+            n_papers = starts[j + 1] - start
+            if not n_papers:
                 continue
-            u = plist[self.rng.randrange(len(plist))]
+            u = self.papers[start + self.rng.randrange(n_papers)]
             if u in used:
                 continue
             used.add(u)
@@ -323,16 +352,19 @@ def _place_from_pool(
             builder.cite(u, p)
 
 
-def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[list[list[int]], list[int]]:
+def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[array, array, list[int]]:
     """Create background authors and their papers.
 
-    Returns the per-author full-paper lists and, for established authors,
-    the h value their citations will be built around (0 for light authors).
+    Returns the per-author full-paper numbers as one offsets/papers pair
+    (author i's are `papers[starts[i]:starts[i + 1]]`) and, for established
+    authors, the h value their citations will be built around (0 for light
+    authors).
     """
     rng = builder.rng
     n = cfg.n_background_authors
     n_established = cfg.n_established
-    papers_by_author: list[list[int]] = []
+    starts = array("i", [0])
+    papers = array("i")
     h_by_author: list[int] = []
     for i in range(n):
         author_id = f"b{i:06d}"
@@ -348,13 +380,12 @@ def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[list[list[in
                 cfg.papers_per_author[0], min(_LIGHT_MAX_PAPERS, cfg.papers_per_author[1])
             )
             n_other = 1 if rng.random() < 0.1 else 0
-        full = [
-            builder.new_paper([author_id], DocType.ARTICLE, builder.paper_subfield(home))
-            for _ in range(n_full)
-        ]
+        for _ in range(n_full):
+            subfield_id = builder.paper_subfield(home)
+            papers.append(builder.new_paper([author_id], DocType.ARTICLE, subfield_id))
+        starts.append(len(papers))
         for _ in range(n_other):
             builder.new_paper([author_id], DocType.OTHER, builder.paper_subfield(home))
-        papers_by_author.append(full)
         h_by_author.append(h)
 
     # Sprinkle co-authored, uncited papers over some established pairs so the
@@ -364,21 +395,22 @@ def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[list[list[in
         home = builder.pick_home_field()
         for _ in range(rng.randint(6, 12)):
             builder.new_paper([a, b], DocType.ARTICLE, builder.paper_subfield(home))
-    return papers_by_author, h_by_author
+    return starts, papers, h_by_author
 
 
 def _cite_background(
     builder: _Builder,
     cfg: SynthConfig,
-    papers_by_author: list[list[int]],
+    starts: array,
+    papers: array,
     h_by_author: list[int],
 ) -> None:
     rng = builder.rng
-    pool = _CitingPool(rng, papers_by_author)
+    pool = _CitingPool(rng, starts, papers)
     n_established = cfg.n_established
-    for i, full in enumerate(papers_by_author):
+    for i, h in enumerate(h_by_author):
+        full = papers[starts[i] : starts[i + 1]]
         if i < n_established:
-            h = h_by_author[i]
             ratio = _BACKGROUND_RATIO_FLOOR + min(rng.lognormvariate(0.35, 0.55), 3.8)
             citations = max(_MIN_ELIGIBLE_CITATIONS, math.ceil(ratio * h * h))
             budget = citations - h * h
@@ -453,10 +485,10 @@ def _build_cartels(builder: _Builder, cfg: SynthConfig) -> None:
 
 
 def _build_hyperteams(
-    builder: _Builder, cfg: SynthConfig, pool_papers: list[list[int]]
+    builder: _Builder, cfg: SynthConfig, pool_starts: array, pool_papers: array
 ) -> None:
     rng = builder.rng
-    pool = _CitingPool(rng, pool_papers)
+    pool = _CitingPool(rng, pool_starts, pool_papers)
     for t in range(cfg.n_hyperteams):
         group = f"team{t:02d}"
         members = [f"t{t:02d}m{k:02d}" for k in range(cfg.team_size)]
@@ -489,11 +521,11 @@ def _build_hyperteams(
 def generate(cfg: SynthConfig) -> SynthCorpus:
     """Build the full synthetic corpus for a config; same config, same corpus."""
     builder = _Builder(rng=random.Random(cfg.seed), corpus=SynthCorpus(default_taxonomy()))
-    background_papers, background_h = _build_background(builder, cfg)
+    starts, papers, background_h = _build_background(builder, cfg)
     _build_self_citers(builder, cfg)
     _build_cartels(builder, cfg)
-    _build_hyperteams(builder, cfg, background_papers)
-    _cite_background(builder, cfg, background_papers, background_h)
+    _build_hyperteams(builder, cfg, starts, papers)
+    _cite_background(builder, cfg, starts, papers, background_h)
     builder.corpus.truth = GroundTruth(labels=builder.labels)
     return builder.corpus
 
@@ -511,9 +543,10 @@ def write_truth(path: str | Path, truth: GroundTruth) -> int:
 
 
 def read_truth(path: str | Path) -> GroundTruth:
+    """Read truth.csv; like the ingest parsers, accept a UTF-8 BOM before the header."""
     labels: dict[str, tuple[str, str]] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -540,6 +573,13 @@ def read_truth(path: str | Path) -> GroundTruth:
     return GroundTruth(labels=labels)
 
 
+def _write_lines(path: Path, header: list[str], lines: Iterable[str]) -> None:
+    """Write a header row and then lines that are already CSV rows with no quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
+
+
 def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
     """Write papers/authorships/citations/taxonomy/truth CSVs; returns the paths."""
     out = Path(out_dir)
@@ -551,9 +591,23 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
         "taxonomy": out / "taxonomy.csv",
         "truth": out / "truth.csv",
     }
-    write_papers(str(paths["papers"]), corpus.paper_rows())
-    write_authorships(str(paths["authorships"]), corpus.authorship_rows())
-    write_citations(str(paths["citations"]), corpus.citation_rows())
+    kind_fields = [f"{doc_type.value},{subfield or ''}" for doc_type, subfield in corpus.kinds]
+    kind_field = kind_fields.__getitem__
+    _write_lines(
+        paths["papers"],
+        PAPERS_HEADER,
+        map("p%07d,%s\n".__mod__, zip(range(corpus.n_papers), map(kind_field, corpus.paper_kinds))),
+    )
+    _write_lines(
+        paths["authorships"],
+        AUTHORSHIPS_HEADER,
+        map("p%07d,%s\n".__mod__, zip(corpus.authorship_papers, corpus.authorship_authors)),
+    )
+    _write_lines(
+        paths["citations"],
+        CITATIONS_HEADER,
+        map("p%07d,p%07d\n".__mod__, zip(corpus.citing, corpus.cited)),
+    )
     write_taxonomy(str(paths["taxonomy"]), corpus.taxonomy)
     write_truth(paths["truth"], corpus.truth)
     return paths

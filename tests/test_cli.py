@@ -154,6 +154,22 @@ def test_evaluate_prints_motif_lines(corpus_dir, run_dir, tmp_path, capsys):
     assert {r["motif"] for r in rows} == {"self_citer", "cartel_member", "hyperteam_member"}
 
 
+def test_evaluate_accepts_a_utf8_bom_in_truth_and_tail_files(corpus_dir, run_dir, tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(bom + (corpus_dir / "truth.csv").read_bytes())
+    bom_run = tmp_path / "run"
+    bom_run.mkdir()
+    for path in run_dir.glob("tail_*.csv"):
+        (bom_run / path.name).write_bytes(bom + path.read_bytes())
+    rc = main(["evaluate", "--truth", str(corpus_dir / "truth.csv"), "--run-dir", str(run_dir)])
+    assert rc == 0
+    expected = capsys.readouterr().out
+    rc = main(["evaluate", "--truth", str(truth), "--run-dir", str(bom_run)])
+    assert rc == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_evaluate_short_truth_row_fails_with_single_line_error(run_dir, tmp_path, capsys):
     truth = tmp_path / "truth.csv"
     truth.write_text("author_id,label,group_id\na1\n", encoding="utf-8")
@@ -452,6 +468,18 @@ def test_ingest_file_durations_are_disjoint(run_dir):
     record_files = per_file["papers"] + per_file["authorships"] + per_file["citations"]
     assert record_files <= timings["stages_s"]["ingest_and_index"] + 3 * 0.0005
     assert "threads" not in timings
+
+
+def test_timings_hold_the_peak_rss_after_each_stage(run_dir):
+    timings = json.loads((run_dir / "timings.json").read_text())
+    stages = timings["stages_peak_rss_mb"]
+    assert list(stages) == ["cohort", "ingest_and_index", "metrics", "reports"]  # sorted keys
+    in_order = [stages[k] for k in ("ingest_and_index", "cohort", "metrics", "reports")]
+    if None in in_order:  # no /proc/self/status on this platform
+        assert set(in_order) == {None}
+        return
+    assert in_order == sorted(in_order)
+    assert in_order[-1] <= timings["peak_rss_mb"] + 0.1
 
 
 @pytest.mark.parametrize("pct, n, rank", [("0.1", 1_000, 1), ("1.1", 10_000, 110)])

@@ -12,8 +12,6 @@ from citegraph.ingest import (
     parse_citations,
     parse_papers,
     parse_taxonomy,
-    write_citations,
-    write_papers,
 )
 
 
@@ -110,20 +108,6 @@ def test_taxonomy_conflicting_duplicates_error():
 def test_byte_identical_files_yield_identical_records():
     text = "paper_id,doc_type,subfield_id\np1,article,102\np2,review,\n"
     assert list(parse_papers(_stream(text))) == list(parse_papers(_stream(text)))
-
-
-def test_writers_round_trip(tmp_path):
-    papers = [("p1", DocType.ARTICLE, "102"), ("p2", DocType.OTHER, None)]
-    path = tmp_path / "papers.csv"
-    write_papers(str(path), papers)
-    with open(path, "rb") as fh:
-        assert list(parse_papers(fh)) == papers
-
-    edges = [("p2", "p1")]
-    cpath = tmp_path / "citations.csv"
-    write_citations(str(cpath), edges)
-    with open(cpath, "rb") as fh:
-        assert list(parse_citations(fh)) == edges
 
 
 @pytest.mark.parametrize(

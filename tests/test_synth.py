@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from citegraph.cohort import EligibilityConfig, eligible_authors
-from citegraph.corpus import build_index
+from citegraph.corpus import DocType, FieldTaxonomy, SubfieldInfo, build_index
+from citegraph.ingest import parse_authorships, parse_citations, parse_papers
 from citegraph.metrics import compute_all_metrics
 from citegraph.synth import (
     LABEL_BACKGROUND,
@@ -18,6 +19,7 @@ from citegraph.synth import (
     GroundTruth,
     SynthConfig,
     SynthConfigError,
+    SynthCorpus,
     evaluate_detection,
     generate,
     read_truth,
@@ -108,6 +110,37 @@ def test_generate_holds_at_most_16_bytes_per_citation_edge():
     assert peak / n_edges <= 16, f"{peak / n_edges:.1f} bytes per edge"
 
 
+def test_generate_holds_at_most_80_bytes_per_paper():
+    # The sparse shape: many light authors with few citations, so papers,
+    # not edges, dominate what generate holds.
+    cfg = SynthConfig(
+        seed=3, n_background_authors=2000, established_fraction=0.0035, light_citations=(0, 8),
+        n_self_citers=0, n_cartels=0, n_hyperteams=0,
+    )
+    tracemalloc.start()
+    try:
+        corpus = generate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert corpus.n_papers > 10_000
+    assert peak / corpus.n_papers <= 80, f"{peak / corpus.n_papers:.1f} bytes per paper"
+
+
+def test_written_files_parse_back_to_the_row_iterators(tmp_path, small_corpus):
+    paths = write_corpus(small_corpus, tmp_path)
+    for parse, name, rows in (
+        (parse_papers, "papers", small_corpus.paper_rows),
+        (parse_authorships, "authorships", small_corpus.authorship_rows),
+        (parse_citations, "citations", small_corpus.citation_rows),
+    ):
+        with open(paths[name], "rb") as fh:
+            assert list(parse(fh)) == list(rows()), name
+    kinds = {(doc_type, subfield_id) for _, doc_type, subfield_id in small_corpus.paper_rows()}
+    assert any(doc_type is DocType.OTHER for doc_type, _ in kinds)
+    assert any(subfield_id is None for _, subfield_id in kinds)
+
+
 def test_labels_partition_author_set(small_corpus):
     truth = small_corpus.truth
     authors = {author_id for _, author_id in small_corpus.authorship_rows()}
@@ -196,6 +229,16 @@ def test_infeasible_configs_rejected():
         SynthConfig(n_background_authors=-1)
 
 
+def test_paper_kinds_must_fit_in_one_byte():
+    # 4 doc types x (63 subfields + unclassified) = 256 kinds fit; one more subfield does not.
+    def taxonomy(n):
+        return FieldTaxonomy(SubfieldInfo(f"s{i:03d}", "name", "F01", "field") for i in range(n))
+
+    assert len(SynthCorpus(taxonomy(63)).kinds) == 256
+    with pytest.raises(SynthConfigError, match="one byte per paper"):
+        SynthCorpus(taxonomy(64))
+
+
 def test_light_authors_need_a_nonempty_paper_range():
     with pytest.raises(SynthConfigError, match="papers_per_author"):
         SynthConfig(papers_per_author=(13, 56))
@@ -204,7 +247,7 @@ def test_light_authors_need_a_nonempty_paper_range():
         n_background_authors=4, established_fraction=1.0, papers_per_author=(13, 56),
         n_self_citers=0, n_cartels=0, n_hyperteams=0,
     )
-    assert len(generate(cfg).paper_ids) > 0
+    assert generate(cfg).n_papers > 0
 
 
 def test_evaluate_detection_full_recall(small_corpus):
