@@ -6,10 +6,8 @@ from .corpus import (
     CorpusIndex,
     DocType,
     FieldTaxonomy,
-    PaperRecord,
     SubfieldInfo,
     build_index,
-    is_full_paper,
 )
 from .errors import CitegraphError
 from .ingest import (
@@ -60,7 +58,6 @@ __all__ = [
     "Histogram",
     "IngestError",
     "IngestReport",
-    "PaperRecord",
     "SubfieldInfo",
     "SynthConfig",
     "TailReport",
@@ -80,7 +77,6 @@ __all__ = [
     "generate",
     "h_index",
     "histogram",
-    "is_full_paper",
     "parse_authorships",
     "parse_citations",
     "parse_papers",

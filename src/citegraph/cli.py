@@ -124,15 +124,6 @@ def _parse_inputs(cfg: RunConfig, report: ingest_mod.IngestReport) -> CorpusInde
         )
 
 
-def _peak_rss_mb() -> float | None:
-    try:
-        import resource
-    except ImportError:
-        return None
-    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return round(rss_kb / 1024.0, 1)
-
-
 def _vm_hwm_mb() -> float | None:
     """This process's peak resident set so far (VmHWM), or None where /proc is missing."""
     try:
@@ -319,8 +310,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
             for name, st in sorted(report.files.items())
         },
         "index": {
-            "n_papers": len(index.papers),
-            "n_authors": len(index.papers_of),
+            "n_papers": len(index.paper_ids),
+            "n_authors": len(index.author_ids),
             "n_citation_edges": index.n_edges,
             "dropped_unknown_edges": index.dropped_unknown_edges,
             "dropped_self_loops": index.dropped_self_loops,
@@ -345,7 +336,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     timings["total"] = time.perf_counter() - t_total
     runtime = {
         "stages_s": {k: round(v, 3) for k, v in timings.items()},
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": _vm_hwm_mb(),
         "stages_peak_rss_mb": stages_peak,
         "ingest_file_s": {
             name: round(st.duration_s, 3) for name, st in sorted(report.files.items())
@@ -413,7 +404,7 @@ def _cmd_ingest_check(args: argparse.Namespace) -> int:
         dropped = ", ".join(f"{k}={v}" for k, v in sorted(st.dropped.items())) or "none"
         print(f"{name}: rows_read={st.rows_read} emitted={st.emitted} dropped=[{dropped}]")
     print(
-        f"index: papers={len(index.papers)} authors={len(index.papers_of)} "
+        f"index: papers={len(index.paper_ids)} authors={len(index.author_ids)} "
         f"edges={index.n_edges} dropped_unknown_edges={index.dropped_unknown_edges} "
         f"dropped_self_loops={index.dropped_self_loops} "
         f"dropped_unknown_authorships={index.dropped_unknown_authorships}"

@@ -114,8 +114,10 @@ def _vote_field(
 def assign_fields(
     index: CorpusIndex, authors: Iterable[str], seed: int
 ) -> dict[str, tuple[str, str]]:
-    """Field vote of each of `authors`, omitting those with no classified full
-    paper. The pipeline votes in eligible_authors; bench/child.py traces this."""
+    """Field vote of each of `authors` (string ids), omitting those with no
+    classified full paper. The pipeline votes inside eligible_authors and
+    never calls this; it stays because the benchmark's traced run
+    (bench/child.py) wraps it."""
     out: dict[str, tuple[str, str]] = {}
     for author_id in authors:
         author = index.author_index(author_id)

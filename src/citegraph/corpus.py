@@ -9,9 +9,9 @@ position in the sorted list of the string ids. Int order is therefore
 string order, so anything ordered or tie-broken by id comes out exactly as
 it would over the strings. Adjacency is stored in CSR form, an offsets
 array and a targets array per relation, so a row is one slice of one
-`array` and the index holds no Python object per edge. The string-keyed
-`papers`, `papers_of`, `citers_of` and `authors_of` mappings are views that
-build their values from the arrays on each lookup and store nothing.
+`array` and the index holds no Python object per edge. There is no
+string-keyed read path: callers map a string id to its int with
+`author_index` and back through `paper_ids` and `author_ids`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import time
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -60,13 +60,6 @@ DOC_TYPES = tuple(DocType)
 _DOC_TYPE_BYTE = {doc_type: code for code, doc_type in enumerate(DOC_TYPES)}
 #: Doc-type bytes of the full-paper types.
 FULL_DOC_CODES = frozenset(_DOC_TYPE_BYTE[doc_type] for doc_type in FULL_PAPER_TYPES)
-
-
-@dataclass(frozen=True, slots=True)
-class PaperRecord:
-    paper_id: str
-    doc_type: DocType
-    subfield_id: str | None = None
 
 
 #: Row shapes that build_index consumes, the ingest parsers yield and the
@@ -126,11 +119,6 @@ class FieldTaxonomy:
         return iter(sorted(self._by_subfield.values(), key=lambda e: e.subfield_id))
 
 
-def is_full_paper(paper: PaperRecord) -> bool:
-    """True iff the record is an article, conference paper, or review."""
-    return paper.doc_type in FULL_PAPER_TYPES
-
-
 class CorpusIndex:
     """Integer-id CSR index over a de-duplicated publication corpus.
 
@@ -151,13 +139,9 @@ class CorpusIndex:
     identical inputs in any row order build identical arrays. Offsets are
     64-bit, targets 32-bit.
 
-    `papers`, `papers_of`, `citers_of` and `authors_of` are read-only
-    string-keyed views for callers that work with string ids (the a50pc
-    oracle, the tests, the benchmark): paper_id -> PaperRecord, author_id
-    -> sorted paper_ids, paper_id -> sorted citing paper_ids (cited papers
-    only) and paper_id -> sorted author_ids (papers with authors only). They
-    resolve a key by bisection over the sorted id list and build each value
-    on demand; the hot paths read the arrays instead.
+    `papers_of[a]` and `citers_of[p]` serve those two rows by int id, one
+    slice each, for the a50pc oracle and the benchmark; the hot paths slice
+    the arrays themselves.
 
     `finalise_s` is the wall time build_index spent turning the collected
     rows into the arrays: sorting and numbering the ids, deduplicating each
@@ -189,7 +173,9 @@ class CorpusIndex:
 
     def author_index(self, author_id: str) -> int | None:
         """Int id of `author_id`, or None for an author with no indexed paper."""
-        return _position(self.author_ids, author_id)
+        ids = self.author_ids
+        i = bisect_left(ids, author_id)
+        return i if i < len(ids) and ids[i] == author_id else None
 
     def full_papers(self, author: int) -> list[int]:
         """Int ids of author `author`'s articles, conference papers and reviews, increasing."""
@@ -202,133 +188,33 @@ class CorpusIndex:
         ]
 
     @property
-    def papers(self) -> Mapping[str, PaperRecord]:
-        return _PapersView(self)
+    def papers_of(self) -> CsrRows:
+        """Int-indexed rows of author -> increasing paper ids."""
+        return CsrRows(self.paper_offsets, self.paper_targets)
 
     @property
-    def papers_of(self) -> Mapping[str, tuple[str, ...]]:
-        return _PapersOfView(self)
-
-    @property
-    def citers_of(self) -> Mapping[str, tuple[str, ...]]:
-        return _CitersOfView(self)
-
-    @property
-    def authors_of(self) -> Mapping[str, tuple[str, ...]]:
-        return _AuthorsOfView(self)
+    def citers_of(self) -> CsrRows:
+        """Int-indexed rows of paper -> increasing citing paper ids."""
+        return CsrRows(self.citer_offsets, self.citer_targets)
 
 
-def _position(ids: list[str], key: object) -> int | None:
-    if isinstance(key, str):
-        i = bisect_left(ids, key)
-        if i < len(ids) and ids[i] == key:
-            return i
-    return None
+class CsrRows(Sequence):
+    """Read-only rows of one CSR relation: row i is targets[offsets[i]:offsets[i + 1]]."""
 
+    __slots__ = ("_offsets", "_targets")
 
-class _IndexView(Mapping):
-    """A read-only string-keyed mapping computed from a CorpusIndex on each lookup.
-
-    Subclasses name the sorted key list and build the value for key
-    position i, or return None where that key has no entry.
-    """
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: CorpusIndex):
-        self._index = index
-
-    def _keys(self) -> list[str]:
-        raise NotImplementedError
-
-    def _value(self, i: int):
-        raise NotImplementedError
-
-    def get(self, key, default=None):
-        i = _position(self._keys(), key)
-        value = None if i is None else self._value(i)
-        return default if value is None else value
-
-    def __getitem__(self, key: str):
-        value = self.get(key)
-        if value is None:
-            raise KeyError(key)
-        return value
-
-    def __contains__(self, key: object) -> bool:
-        return self.get(key) is not None
-
-    def __iter__(self) -> Iterator[str]:
-        keys = self._keys()
-        return (key for i, key in enumerate(keys) if self._value(i) is not None)
+    def __init__(self, offsets: array, targets: array):
+        self._offsets = offsets
+        self._targets = targets
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return len(self._offsets) - 1
 
-
-class _EveryKeyView(_IndexView):
-    """A view that has a value for every key."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._keys())
-
-    def __len__(self) -> int:
-        return len(self._keys())
-
-
-class _PapersView(_EveryKeyView):
-    __slots__ = ()
-
-    def _keys(self) -> list[str]:
-        return self._index.paper_ids
-
-    def _value(self, i: int) -> PaperRecord:
-        index = self._index
-        return PaperRecord(index.paper_ids[i], DOC_TYPES[index.doc_types[i]], index.subfields[i])
-
-
-class _PapersOfView(_EveryKeyView):
-    __slots__ = ()
-
-    def _keys(self) -> list[str]:
-        return self._index.author_ids
-
-    def _value(self, i: int) -> tuple[str, ...]:
-        index = self._index
-        offsets = index.paper_offsets
-        row = index.paper_targets[offsets[i]:offsets[i + 1]]
-        return tuple(map(index.paper_ids.__getitem__, row))
-
-
-class _CitersOfView(_IndexView):
-    __slots__ = ()
-
-    def _keys(self) -> list[str]:
-        return self._index.paper_ids
-
-    def _value(self, i: int) -> tuple[str, ...] | None:
-        index = self._index
-        offsets = index.citer_offsets
-        start, end = offsets[i], offsets[i + 1]
-        if start == end:
-            return None
-        return tuple(map(index.paper_ids.__getitem__, index.citer_targets[start:end]))
-
-
-class _AuthorsOfView(_IndexView):
-    __slots__ = ()
-
-    def _keys(self) -> list[str]:
-        return self._index.paper_ids
-
-    def _value(self, i: int) -> tuple[str, ...] | None:
-        index = self._index
-        team = index.team_of[i]
-        if team < 0:
-            return None
-        return tuple(map(index.author_ids.__getitem__, index.teams[team]))
+    def __getitem__(self, i: int) -> array:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        offsets = self._offsets
+        return self._targets[offsets[i]:offsets[i + 1]]
 
 
 def build_index(

@@ -22,7 +22,8 @@ merged and their weights summed, which on large teams collapses most of the
 work. Both read the index's int arrays directly; authors are compared by int
 id, which orders them as their string ids do. a50pc is a lazy greedy
 max-coverage over the teams (Minoux 1978); a50pc_oracle is the naive
-reference it is cross-checked against, and reads the string-keyed views.
+reference it is cross-checked against. It reads the same index by int id,
+one row at a time, and names its selections by string id.
 
 All operations are pure reads over the index, so each author's values do not
 depend on which other authors are computed, or in what order.
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .corpus import CorpusIndex, is_full_paper
+from .corpus import FULL_DOC_CODES, CorpusIndex
 from .errors import CitegraphError
 
 
@@ -180,13 +181,20 @@ def a50pc_oracle_selections(index: CorpusIndex, author_id: str) -> list[tuple[st
     over the remaining citing papers, with no shared state with a50pc_greedy.
     Returns the (author_id, contribution) pairs in selection order.
     """
-    papers = index.papers
-    remaining: dict[str, int] = {}
+    teams = index.teams
+    team_of = index.team_of
+
+    def authors_of(u: int) -> tuple[int, ...]:
+        return () if team_of[u] < 0 else teams[team_of[u]]
+
+    author = index.author_index(author_id)
+    papers = () if author is None else index.papers_of[author]
+    remaining: dict[int, int] = {}
     total = 0
-    for p in index.papers_of.get(author_id, ()):
-        if not is_full_paper(papers[p]):
+    for p in papers:
+        if index.doc_types[p] not in FULL_DOC_CODES:
             continue
-        for u in index.citers_of.get(p, ()):
+        for u in index.citers_of[p]:
             remaining[u] = remaining.get(u, 0) + 1
             total += 1
     if total == 0:
@@ -195,20 +203,18 @@ def a50pc_oracle_selections(index: CorpusIndex, author_id: str) -> list[tuple[st
     selections: list[tuple[str, int]] = []
     explained = 0
     while 2 * explained < total:
-        scores: dict[str, int] = {}
+        scores: dict[int, int] = {}
         for u, k in remaining.items():
-            for x in index.authors_of.get(u, ()):
+            for x in authors_of(u):
                 scores[x] = scores.get(x, 0) + k
         if not scores:
             raise UndefinedMetricError(
                 f"author {author_id!r}: remaining citing papers have no recorded authors"
             )
-        best = min(scores.items(), key=lambda item: (-item[1], item[0]))
-        selections.append(best)
-        explained += best[1]
-        remaining = {
-            u: k for u, k in remaining.items() if best[0] not in index.authors_of.get(u, ())
-        }
+        best, gain = min(scores.items(), key=lambda item: (-item[1], item[0]))
+        selections.append((index.author_ids[best], gain))
+        explained += gain
+        remaining = {u: k for u, k in remaining.items() if best not in authors_of(u)}
     return selections
 
 

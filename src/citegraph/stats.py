@@ -21,15 +21,6 @@ from .metrics import AuthorMetrics
 METRIC_NAMES = ("c_over_h2", "a50pc", "a50")
 TAILS = ("lower", "upper")
 
-#: Percentile landmarks of the three indicators over a very large reference
-#: corpus; used for documentation and default display ranges, never asserted
-#: against generated data.
-REFERENCE_PERCENTILES = {
-    "c_over_h2": {"p1": 2.45, "p5": 2.76, "median": 4.11, "iqr": (3.36, 6.11)},
-    "a50pc": {"p1": 5, "median": 36, "iqr": (21, 60)},
-    "a50": {"p95": 2, "p99": 7, "median": 0, "iqr": (0, 0)},
-}
-
 
 class StatsError(CitegraphError):
     pass

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from citegraph.corpus import (
+    DOC_TYPES,
     CorpusIndex,
     DocType,
     FieldTaxonomy,
@@ -31,6 +33,44 @@ def make_index(papers, authorships, citations, taxonomy=None) -> CorpusIndex:
         list(authorships),
         list(citations),
         taxonomy or tiny_taxonomy(),
+    )
+
+
+class DecodedIndex(NamedTuple):
+    """A CorpusIndex as plain string-keyed dicts; see decode_index."""
+
+    papers: dict[str, tuple[DocType, str | None]]
+    papers_of: dict[str, tuple[str, ...]]
+    citers_of: dict[str, tuple[str, ...]]
+    authors_of: dict[str, tuple[str, ...]]
+
+
+def decode_index(index: CorpusIndex) -> DecodedIndex:
+    """Every relation of `index` decoded once into string-keyed dicts:
+
+        papers      every paper -> (DocType, subfield_id or None)
+        papers_of   every author -> their sorted paper ids
+        citers_of   each cited paper -> its sorted citing paper ids
+        authors_of  each paper with authors -> its sorted author ids
+    """
+    pids = index.paper_ids
+    aids = index.author_ids
+    return DecodedIndex(
+        papers={
+            pid: (DOC_TYPES[code], subfield)
+            for pid, code, subfield in zip(pids, index.doc_types, index.subfields)
+        },
+        papers_of={aid: tuple(pids[p] for p in index.papers_of[a]) for a, aid in enumerate(aids)},
+        citers_of={
+            pids[p]: tuple(pids[u] for u in citers)
+            for p, citers in enumerate(index.citers_of)
+            if citers
+        },
+        authors_of={
+            pid: tuple(aids[a] for a in index.teams[team])
+            for pid, team in zip(pids, index.team_of)
+            if team >= 0
+        },
     )
 
 

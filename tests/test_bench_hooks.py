@@ -6,12 +6,15 @@ in a separate process as the benchmark does, and checks that every
 per-author indicator is traced once per cohort author, inside that author's
 metrics.compute_author_metrics span. The second runs its `setup` entry point,
 which calls synth.generate and synth.write_corpus, and checks the files it
-writes against an in-process write of the same workload config. Neither
-writes anything under bench/.
+writes against an in-process write of the same workload config. The third
+runs its `oracle` entry point, which calls metrics.a50pc_oracle(index,
+author_id) on a corpus it indexes itself, against a run's metrics.csv and a
+copy with one a50pc value changed. None writes anything under bench/.
 """
 
 from __future__ import annotations
 
+import csv
 import importlib.util
 import json
 import os
@@ -90,3 +93,37 @@ def test_setup_writes_the_corpus_that_synth_writes_in_process(tmp_path):
     assert len(expected) == 5
     for name, path in expected.items():
         assert (tmp_path / "child" / path.name).read_bytes() == path.read_bytes(), name
+
+
+def test_oracle_passes_a_runs_metrics_and_fails_a_tampered_copy(tmp_path):
+    corpus = tmp_path / "corpus"
+    synth = [
+        "synth", "--out", str(corpus), "--background", "60", "--self-citers", "2",
+        "--cartels", "1", "--cartel-size", "2", "--team-size", "10", "--joint-papers", "60",
+    ]
+    assert main(synth) == 0
+    run = ["run", "--out", str(tmp_path / "run"), "--min-citations", "100", "--pct", "50"]
+    for name in ("papers", "authorships", "citations", "taxonomy"):
+        run += [f"--{name}", str(corpus / f"{name}.csv")]
+    assert main(run) == 0
+
+    reported = tmp_path / "run" / "metrics.csv"
+    with open(reported, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    bumped = rows[len(rows) // 2]
+    bumped["a50pc"] = str(int(bumped["a50pc"]) + 1)
+    tampered = tmp_path / "tampered.csv"
+    with open(tampered, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+    for metrics_csv, expected_rc in ((reported, 0), (tampered, 1)):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "child.py"), "oracle", "--corpus", str(corpus),
+             "--metrics", str(metrics_csv), "--seed", "1", "--sample", str(len(rows))],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == expected_rc, done.stdout + done.stderr
+        assert done.stdout.startswith(f"oracle checked {len(rows)} authors"), done.stdout

@@ -413,7 +413,7 @@ def test_run_votes_each_candidate_field_once(corpus_dir, tmp_path, monkeypatch):
     index = cli._parse_inputs(cfg, ingest.IngestReport())
     candidates = [
         a
-        for a in index.papers_of
+        for a in index.author_ids
         if len(full_of(index, a)) > cfg.eligibility.min_full_papers
         and sum(metrics.citation_counts(index, full_of(index, a)))
         >= cfg.eligibility.min_citations
@@ -480,6 +480,31 @@ def test_timings_hold_the_peak_rss_after_each_stage(run_dir):
         return
     assert in_order == sorted(in_order)
     assert in_order[-1] <= timings["peak_rss_mb"] + 0.1
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_peak_rss_excludes_the_launchers_peak(corpus_dir, tmp_path):
+    """A launcher that touched 150 MB and then execs `citegraph run`: Linux
+    carries its high-water mark into ru_maxrss, but not into VmHWM."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run_argv = [sys.executable, "-m", "citegraph.cli", *_run_args(corpus_dir, tmp_path / "run")]
+    launcher = (
+        "import os, sys\n"
+        "ballast = b'x' * (150 << 20)\n"
+        "os.execv(sys.executable, sys.argv[1:])\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", launcher, *run_argv],
+        check=True, capture_output=True, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    timings = json.loads((tmp_path / "run" / "timings.json").read_text())
+    assert timings["peak_rss_mb"] < 100
+    assert timings["stages_peak_rss_mb"]["reports"] <= timings["peak_rss_mb"]
 
 
 @pytest.mark.parametrize("pct, n, rank", [("0.1", 1_000, 1), ("1.1", 10_000, 110)])

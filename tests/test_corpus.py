@@ -8,14 +8,13 @@ import pytest
 from citegraph.corpus import (
     CorpusError,
     DocType,
+    FULL_PAPER_TYPES,
     FieldTaxonomy,
-    PaperRecord,
     SubfieldInfo,
     build_index,
-    is_full_paper,
 )
 
-from conftest import make_index, random_corpus, tiny_taxonomy
+from conftest import decode_index, make_index, random_corpus, tiny_taxonomy
 
 
 def test_build_small_index():
@@ -24,10 +23,11 @@ def test_build_small_index():
         authorships=[("p1", "a1"), ("p2", "a2"), ("p3", "a1"), ("p3", "a2")],
         citations=[("p2", "p1"), ("p3", "p1")],
     )
-    assert len(idx.papers) == 3
-    assert idx.citers_of["p1"] == ("p2", "p3")
-    assert idx.papers_of["a1"] == ("p1", "p3")
-    assert idx.authors_of["p3"] == ("a1", "a2")
+    views = decode_index(idx)
+    assert len(views.papers) == 3
+    assert views.citers_of["p1"] == ("p2", "p3")
+    assert views.papers_of["a1"] == ("p1", "p3")
+    assert views.authors_of["p3"] == ("a1", "a2")
     assert idx.n_edges == 2
     assert idx.dropped_unknown_edges == 0
 
@@ -48,8 +48,9 @@ def test_duplicate_rows_collapse():
         authorships=[("p1", "a1"), ("p1", "a1")],
         citations=[("p2", "p1"), ("p2", "p1")],
     )
-    assert idx.papers_of["a1"] == ("p1",)
-    assert idx.citers_of["p1"] == ("p2",)
+    views = decode_index(idx)
+    assert views.papers_of["a1"] == ("p1",)
+    assert views.citers_of["p1"] == ("p2",)
     assert idx.n_edges == 1
 
 
@@ -84,7 +85,7 @@ def test_authorship_for_unknown_paper_dropped_with_count():
         authorships=[("p1", "a1"), ("p9", "a1")],
         citations=[],
     )
-    assert idx.papers_of["a1"] == ("p1",)
+    assert decode_index(idx).papers_of["a1"] == ("p1",)
     assert idx.dropped_unknown_authorships == 1
 
 
@@ -98,7 +99,7 @@ def test_authorship_for_unknown_paper_dropped_with_count():
     ],
 )
 def test_is_full_paper(doc_type, expected):
-    assert is_full_paper(PaperRecord("p", doc_type)) is expected
+    assert (doc_type in FULL_PAPER_TYPES) is expected
 
 
 def test_doc_type_from_string_folds_case_and_defaults_to_other():
@@ -114,19 +115,20 @@ def test_round_trip_reproduces_deduplicated_records():
     ships = [("p1", "a1"), ("p2", "a1"), ("p1", "a2")]
     edges = [("p2", "p1")]
     idx = build_index(papers + papers, ships + ships, edges + edges, tiny_taxonomy())
-    assert dict(idx.papers) == {
-        "p1": PaperRecord("p1", DocType.ARTICLE, "102"),
-        "p2": PaperRecord("p2", DocType.REVIEW, None),
+    views = decode_index(idx)
+    assert views.papers == {
+        "p1": (DocType.ARTICLE, "102"),
+        "p2": (DocType.REVIEW, None),
     }
-    assert dict(idx.authors_of) == {"p1": ("a1", "a2"), "p2": ("a1",)}
-    assert dict(idx.citers_of) == {"p1": ("p2",)}
+    assert views.authors_of == {"p1": ("a1", "a2"), "p2": ("a1",)}
+    assert views.citers_of == {"p1": ("p2",)}
     assert idx.n_edges == 1
 
 
 def test_inverse_maps_and_determinism_on_random_corpora():
     for seed in range(30):
         rng = random.Random(seed)
-        idx = random_corpus(rng, max_authors=20, max_edges=80)
+        idx = decode_index(random_corpus(rng, max_authors=20, max_edges=80))
         for author, papers in idx.papers_of.items():
             for p in papers:
                 assert author in idx.authors_of[p]
@@ -149,9 +151,10 @@ def test_identical_inputs_any_order_build_identical_indexes():
     for part in shuffled:
         rng.shuffle(part)
     idx2 = make_index(*shuffled)
-    assert dict(idx1.authors_of) == dict(idx2.authors_of)
-    assert dict(idx1.papers_of) == dict(idx2.papers_of)
-    assert dict(idx1.citers_of) == dict(idx2.citers_of)
+    views1, views2 = decode_index(idx1), decode_index(idx2)
+    assert views1.authors_of == views2.authors_of
+    assert views1.papers_of == views2.papers_of
+    assert views1.citers_of == views2.citers_of
 
 
 def test_taxonomy_conflicting_subfield_errors():

@@ -9,7 +9,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citegraph.corpus import DocType, PaperRecord, build_index
+from citegraph.corpus import DocType, build_index
 from citegraph.ingest import (
     AUTHORSHIPS_HEADER,
     CITATIONS_HEADER,
@@ -20,7 +20,7 @@ from citegraph.ingest import (
     parse_papers,
 )
 
-from conftest import tiny_taxonomy
+from conftest import decode_index, tiny_taxonomy
 
 # A small id pool makes duplicates, self loops and unknown ids common. Two ids
 # need CSV quoting.
@@ -45,7 +45,7 @@ def _csv(header: list[str], rows: list[tuple[str, ...]], quoting: int, newline: 
 
 @st.composite
 def corpora(draw):
-    """Raw CSV rows of a small corpus, the expected PaperRecords and a CSV dialect."""
+    """Raw CSV rows of a small corpus, the expected (DocType, subfield) per paper and a CSV dialect."""
     papers = draw(
         st.dictionaries(
             st.sampled_from(PAPER_IDS),
@@ -64,7 +64,7 @@ def corpora(draw):
         st.lists(st.tuples(st.sampled_from(PAPER_IDS), st.sampled_from(PAPER_IDS)), max_size=40)
     )
     expected = {
-        pid: PaperRecord(pid, doc_type, subfield or None)
+        pid: (doc_type, subfield or None)
         for pid, (doc_type, subfield) in papers.items()
     }
     dialect = (
@@ -115,11 +115,12 @@ def _reference(paper_rows, ship_rows, edge_rows, expected):
 
 
 def _fields(index) -> dict:
+    views = decode_index(index)
     return {
-        "papers": dict(index.papers),
-        "authors_of": dict(index.authors_of),
-        "papers_of": dict(index.papers_of),
-        "citers_of": dict(index.citers_of),
+        "papers": views.papers,
+        "authors_of": views.authors_of,
+        "papers_of": views.papers_of,
+        "citers_of": views.citers_of,
         "n_edges": index.n_edges,
         "dropped_unknown_edges": index.dropped_unknown_edges,
         "dropped_self_loops": index.dropped_self_loops,
@@ -128,12 +129,12 @@ def _fields(index) -> dict:
 
 
 def _stored_ids(index):
-    for pid, rec in index.papers.items():
+    views = decode_index(index)
+    for pid, (_, subfield_id) in views.papers.items():
         yield pid
-        yield rec.paper_id
-        if rec.subfield_id is not None:
-            yield rec.subfield_id
-    for mapping in (index.authors_of, index.papers_of, index.citers_of):
+        if subfield_id is not None:
+            yield subfield_id
+    for mapping in (views.authors_of, views.papers_of, views.citers_of):
         for key, ids in mapping.items():
             yield key
             yield from ids

@@ -21,6 +21,7 @@ from conftest import (
     a50_of,
     brute_force_h,
     coauthor_counts,
+    decode_index,
     full_of,
     make_index,
     no_fields,
@@ -165,7 +166,7 @@ def test_a50pc_greedy_equals_oracle_on_random_corpora():
     checked = 0
     for _ in range(150):
         idx = random_corpus(rng)
-        authors = sorted(idx.papers_of)[:4]
+        authors = idx.author_ids[:4]
         for author in authors:
             try:
                 expected = a50pc_oracle(idx, author)
@@ -183,15 +184,16 @@ def test_a50pc_stopping_rule_is_tight():
     checked = 0
     for _ in range(60):
         idx = random_corpus(rng, max_authors=20, max_edges=120)
-        for author in sorted(idx.papers_of)[:3]:
+        views = decode_index(idx)
+        for author in idx.author_ids[:3]:
             try:
                 selections = a50pc_oracle_selections(idx, author)
             except UndefinedMetricError:
                 continue
             total = sum(
-                len(idx.citers_of.get(p, ()))
-                for p in idx.papers_of[author]
-                if p in idx.citers_of and _is_full(idx, p)
+                len(views.citers_of.get(p, ()))
+                for p in views.papers_of[author]
+                if p in views.citers_of and _is_full(views, p)
             )
             gains = [g for _, g in selections]
             assert 2 * sum(gains) >= total
@@ -200,10 +202,10 @@ def test_a50pc_stopping_rule_is_tight():
     assert checked > 30
 
 
-def _is_full(idx, pid):
-    from citegraph.corpus import is_full_paper
+def _is_full(views, pid):
+    from citegraph.corpus import FULL_PAPER_TYPES
 
-    return is_full_paper(idx.papers[pid])
+    return views.papers[pid][0] in FULL_PAPER_TYPES
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,7 @@ def test_a50_symmetry_on_random_corpora():
         threshold = rng.choice((0, 1, 2))
         over = {
             a: {b for b, n in coauthor_counts(idx, a).items() if n > threshold}
-            for a in idx.papers_of
+            for a in idx.author_ids
         }
         for a, partners in over.items():
             for b in partners:
@@ -325,10 +327,11 @@ def test_compute_all_metrics_invariants_on_random_corpora():
     checked = 0
     for _ in range(50):
         idx = random_corpus(rng)
+        views = decode_index(idx)
         cohort = [
             a
-            for a in idx.papers_of
-            if any(idx.citers_of.get(p) for p in idx.papers_of[a])
+            for a in views.papers_of
+            if any(views.citers_of.get(p) for p in views.papers_of[a])
         ][:5]
         try:
             metrics = compute_all_metrics(idx, no_fields(cohort))

@@ -12,14 +12,14 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citegraph.corpus import is_full_paper
+from citegraph.corpus import FULL_PAPER_TYPES
 from citegraph.metrics import (
     UndefinedMetricError,
     a50pc_greedy,
     a50pc_oracle,
 )
 
-from conftest import coauthor_counts, full_of, make_index
+from conftest import coauthor_counts, decode_index, full_of, make_index
 
 EXAMINED = "e"
 POOL = ["a", "b", "c", "d", EXAMINED, "f"]
@@ -105,11 +105,12 @@ def test_a50pc_greedy_matches_oracle_on_team_corpora(rows):
 @given(team_corpora())
 def test_shared_coauthor_counts_matches_per_paper_count(rows):
     index = make_index(*rows)
+    views = decode_index(index)
     expected: dict[str, int] = {}
-    for p in index.papers_of.get(EXAMINED, ()):
-        if not is_full_paper(index.papers[p]):
+    for p in views.papers_of.get(EXAMINED, ()):
+        if views.papers[p][0] not in FULL_PAPER_TYPES:
             continue
-        for other in index.authors_of[p]:
+        for other in views.authors_of[p]:
             if other != EXAMINED:
                 expected[other] = expected.get(other, 0) + 1
     assert coauthor_counts(index, EXAMINED) == expected

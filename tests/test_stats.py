@@ -325,18 +325,6 @@ def test_cooccurrence_uses_union_of_exclusions():
 # rendering
 # ---------------------------------------------------------------------------
 
-def test_reference_percentile_landmarks_are_consistent():
-    from citegraph.stats import REFERENCE_PERCENTILES
-
-    ratio = REFERENCE_PERCENTILES["c_over_h2"]
-    assert 1 <= ratio["p1"] < ratio["p5"] < ratio["median"]
-    assert ratio["iqr"][0] < ratio["median"] < ratio["iqr"][1]
-    a50pc = REFERENCE_PERCENTILES["a50pc"]
-    assert a50pc["p1"] < a50pc["iqr"][0] < a50pc["median"] < a50pc["iqr"][1]
-    a50 = REFERENCE_PERCENTILES["a50"]
-    assert a50["median"] == 0 and a50["p95"] < a50["p99"]
-
-
 def test_round_sig2():
     assert round_sig2(6.414915) == Decimal("6.4")
     assert round_sig2(0.089973) == Decimal("0.09")

@@ -27,7 +27,7 @@ from citegraph.synth import (
     write_truth,
 )
 
-from conftest import coauthor_counts
+from conftest import coauthor_counts, decode_index
 
 SMALL = SynthConfig(
     seed=7,
@@ -171,7 +171,7 @@ def test_planted_authors_are_eligible_and_extreme(small_corpus, small_analysis):
 
 
 def test_self_citers_receive_only_own_citations(small_corpus, small_analysis):
-    idx, _ = small_analysis
+    idx = decode_index(small_analysis[0])
     for author in sorted(small_corpus.truth.authors_with(LABEL_SELF_CITER)):
         papers = idx.papers_of[author]
         citers = {u for p in papers for u in idx.citers_of.get(p, ())}
