@@ -9,6 +9,10 @@ Subcommands:
                   and timings.json into the output directory
     evaluate      recall/precision of planted behaviors against a run's tails
 
+Every CSV goes through `ingest`: reports are written by `ingest.write_rows`,
+and `evaluate` reads truth.csv and the tail files by `ingest.read_rows`,
+with the corpus files' header, width, CSV and UTF-8 checks and messages.
+
 Report files are pure functions of (inputs, config, seed): reruns produce
 byte-identical bytes. Volatile facts (durations, peak memory overall and
 after each stage) go to timings.json only; manifest.json carries the config
@@ -18,7 +22,6 @@ echo, row accounting, and sha256 of every report file.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -34,7 +37,7 @@ from . import metrics as metrics_mod
 from . import stats as stats_mod
 from . import synth as synth_mod
 from .corpus import CorpusIndex, build_index
-from .errors import CitegraphError, not_utf8
+from .errors import CitegraphError
 
 METRICS_CSV_HEADER = [
     "author_id",
@@ -47,6 +50,8 @@ METRICS_CSV_HEADER = [
     "a50pc",
     "a50",
 ]
+
+TAIL_CSV_HEADER = ["author_id", "value"]
 
 COOCCURRENCE_PAIRS = (("c_over_h2", "a50pc"), ("c_over_h2", "a50"), ("a50pc", "a50"))
 
@@ -92,11 +97,7 @@ def _fmt_value(metric: str, value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> str:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+    ingest_mod.write_rows(path, header, rows)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -196,7 +197,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         if tail_report:
             tail_reports[metric] = tail_report
         tables[f"tail_{metric}.csv"] = (
-            ["author_id", "value"],
+            TAIL_CSV_HEADER,
             [[a, _fmt_value(metric, getattr(all_metrics[a], metric))] for a in members],
         )
         tables[f"allocation_{metric}.csv"] = (
@@ -420,17 +421,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         tail_path = run_dir / f"tail_{metric}.csv"
         if not tail_path.is_file():
             continue
-        with open(tail_path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                next(reader, None)
-                members[metric] = frozenset(row[0] for row in reader if row)
-            except UnicodeDecodeError as exc:
-                raise CitegraphError(f"{tail_path}: {not_utf8(exc, reader.line_num)}") from exc
-            except csv.Error as exc:
-                raise CitegraphError(
-                    f"{tail_path}: line {reader.line_num}: malformed CSV: {exc}"
-                ) from exc
+        with open(tail_path, "rb") as fh:
+            rows = ingest_mod.read_rows(fh, TAIL_CSV_HEADER)
+            members[metric] = frozenset(author_id for _, (author_id, _) in rows)
     if not members:
         raise CitegraphError(f"no tail_<metric>.csv files found in {run_dir}")
     results = synth_mod.evaluate_detection(truth, members)

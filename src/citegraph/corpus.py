@@ -105,10 +105,6 @@ class FieldTaxonomy:
     def lookup(self, subfield_id: str) -> SubfieldInfo | None:
         return self._by_subfield.get(subfield_id)
 
-    def field_of(self, subfield_id: str) -> str | None:
-        info = self._by_subfield.get(subfield_id)
-        return None if info is None else info.field_id
-
     def field_name(self, field_id: str) -> str | None:
         return self._field_names.get(field_id)
 

@@ -1,4 +1,4 @@
-"""Streaming CSV parsers for the four corpus files, and the taxonomy writer.
+"""The one CSV reader and writer: the four corpus files and every small table.
 
 Formats (UTF-8 with an optional BOM, RFC 4180 quoting, header row required):
 
@@ -7,9 +7,10 @@ Formats (UTF-8 with an optional BOM, RFC 4180 quoting, header row required):
     citations.csv    citing_paper_id,cited_paper_id
     taxonomy.csv     subfield_id,subfield_name,field_id,field_name
 
-The three record parsers are generators over one pass of the input and
-never materialize a whole file, so corpora with 1e8 rows stream in constant
-memory. They yield plain tuples, no record object per row:
+Readers take binary streams. The three record parsers are generators over
+one pass of the input and never materialize a whole file, so corpora with
+1e8 rows stream in constant memory. They yield plain tuples, no record
+object per row:
 
     parse_papers       (paper_id, DocType, subfield_id or None)
     parse_authorships  (paper_id, author_id)
@@ -27,10 +28,11 @@ it.
 
 Ids are yielded as read; corpus.build_index interns the ones it keeps.
 
-`write_taxonomy` writes taxonomy.csv through `csv.writer`, since names are
-free text. The three record files of a synthetic corpus are written by
-`synth.write_corpus` straight from its columns, and the parsers yield back
-exactly its `paper_rows()`, `authorship_rows()` and `citation_rows()`.
+`read_rows` reads every small table (taxonomy.csv, truth.csv, the tail
+files) with the same checks and messages, and `write_rows` writes every CSV
+but the three record files of a synthetic corpus, which
+`synth.write_corpus` writes straight from its columns; the parsers yield
+back exactly its `paper_rows()`, `authorship_rows()` and `citation_rows()`.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ import csv
 import io
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import IO, Iterator
+from dataclasses import astuple, dataclass, field
+from pathlib import Path
+from typing import IO, Iterable, Iterator
 
 from .corpus import (
     AuthorshipRow,
@@ -50,7 +53,7 @@ from .corpus import (
     PaperRow,
     SubfieldInfo,
 )
-from .errors import CitegraphError, not_utf8
+from .errors import CitegraphError
 
 PAPERS_HEADER = ["paper_id", "doc_type", "subfield_id"]
 AUTHORSHIPS_HEADER = ["paper_id", "author_id"]
@@ -88,15 +91,9 @@ class IngestReport:
         return self.files.setdefault(name, FileIngestStats())
 
 
-def _text_stream(source: IO) -> IO[str]:
-    if isinstance(source, io.TextIOBase):
-        return source
-    return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-
-
-def _header_checked_reader(source: IO, expected_header: list[str]) -> Iterator[list[str]]:
-    """A csv reader over `source` whose header row has been read and checked."""
-    reader = csv.reader(_text_stream(source))
+def _header_checked_reader(source: IO[bytes], expected_header: list[str]) -> Iterator[list[str]]:
+    """A csv reader over binary `source` whose header row has been read and checked."""
+    reader = csv.reader(io.TextIOWrapper(source, encoding="utf-8-sig", newline=""))
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -117,7 +114,8 @@ def _header_checked_reader(source: IO, expected_header: list[str]) -> Iterator[l
 
 def _malformed(source: IO, exc: csv.Error | UnicodeDecodeError, line_num: int) -> IngestError:
     if isinstance(exc, UnicodeDecodeError):
-        message = not_utf8(exc, line_num)
+        # Text streams decode ahead in blocks, so the line is only a lower bound.
+        message = f"after line {line_num}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
     else:
         message = f"line {line_num}: malformed CSV: {exc}"
     return IngestError(_named(source, message))
@@ -226,47 +224,60 @@ def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterato
     stats.duration_s = time.perf_counter() - start
 
 
-def parse_taxonomy(source: IO, stats: FileIngestStats | None = None) -> FieldTaxonomy:
+def read_rows(
+    source: IO[bytes], header: list[str], stats: FileIngestStats | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield `(line, row)` per data row of a small table, every row `len(header)` wide.
+
+    Blank lines are skipped; every error is an IngestError that names the line.
+    """
     stats = stats if stats is not None else FileIngestStats()
     start = time.perf_counter()
-    reader = _header_checked_reader(source, TAXONOMY_HEADER)
-    entries = []
+    reader = _header_checked_reader(source, header)
+    width = len(header)
     rows_read = 1
     try:
         for row in reader:
-            try:
-                subfield_id, subfield_name, field_id, field_name = row
-            except ValueError:
-                if not row:
-                    continue
-                raise _bad_row(source, reader, f"expected 4 fields, got {len(row)}") from None
+            if not row:
+                continue
+            if len(row) != width:
+                raise _bad_row(source, reader, f"expected {width} fields, got {len(row)}")
             rows_read += 1
-            if not subfield_id or not field_id:
-                raise _bad_row(source, reader, "empty subfield_id or field_id")
-            entries.append(
-                SubfieldInfo(
-                    subfield_id=sys.intern(subfield_id),
-                    subfield_name=subfield_name,
-                    field_id=sys.intern(field_id),
-                    field_name=field_name,
-                )
-            )
+            yield reader.line_num, row
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _malformed(source, exc, reader.line_num) from exc
     finally:
         stats.rows_read += rows_read
-        stats.emitted += len(entries)
+        stats.emitted += rows_read - 1
     stats.duration_s = time.perf_counter() - start
+
+
+def parse_taxonomy(source: IO[bytes], stats: FileIngestStats | None = None) -> FieldTaxonomy:
+    entries = []
+    for line, (subfield_id, subfield_name, field_id, field_name) in read_rows(
+        source, TAXONOMY_HEADER, stats
+    ):
+        if not subfield_id or not field_id:
+            raise IngestError(_named(source, f"line {line}: empty subfield_id or field_id"))
+        entries.append(
+            SubfieldInfo(
+                subfield_id=sys.intern(subfield_id),
+                subfield_name=subfield_name,
+                field_id=sys.intern(field_id),
+                field_name=field_name,
+            )
+        )
     return FieldTaxonomy(entries)
 
 
-def write_taxonomy(path: str, taxonomy: FieldTaxonomy) -> int:
-    """Write taxonomy.csv with csv quoting, since subfield and field names are free text."""
-    n = 0
+def write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write `header` and then `rows` as UTF-8 CSV, csv-quoted, one line per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TAXONOMY_HEADER)
-        for e in taxonomy:
-            writer.writerow((e.subfield_id, e.subfield_name, e.field_id, e.field_name))
-            n += 1
-    return n
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_taxonomy(path: str | Path, taxonomy: FieldTaxonomy) -> None:
+    """Write taxonomy.csv; SubfieldInfo's fields are in TAXONOMY_HEADER order."""
+    write_rows(path, TAXONOMY_HEADER, map(astuple, taxonomy))

@@ -20,6 +20,8 @@ from .metrics import AuthorMetrics
 
 METRIC_NAMES = ("c_over_h2", "a50pc", "a50")
 TAILS = ("lower", "upper")
+#: A field is enriched in a tail when its fold is strictly above this.
+FOLD_CUTOFF = 1.5
 
 
 class StatsError(CitegraphError):
@@ -32,7 +34,7 @@ class TailSpec:
 
     metric: str
     tail: str
-    percentile: Fraction | float | int = 1
+    percentile: Fraction | int = 1
     excluded_fields: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -40,7 +42,7 @@ class TailSpec:
             raise StatsError(f"unknown metric {self.metric!r}; expected one of {METRIC_NAMES}")
         if self.tail not in TAILS:
             raise StatsError(f"unknown tail {self.tail!r}; expected 'lower' or 'upper'")
-        if not 0 < Fraction(self.percentile) <= 50:
+        if not 0 < _exact(self.percentile) <= 50:
             raise StatsError("percentile must be in (0, 50]")
         object.__setattr__(self, "excluded_fields", frozenset(self.excluded_fields))
 
@@ -73,11 +75,18 @@ class TailReport:
     field_allocation: tuple[FieldAllocation, ...]
 
 
-def percentile_threshold(values: Sequence, p: Fraction | float | int):
+def _exact(p: Fraction | int) -> Fraction:
+    """`p` as a Fraction; a float is refused, since Fraction() takes its binary value."""
+    if isinstance(p, float):
+        raise StatsError(f"percentile {p!r} is a float; pass a Fraction or an int")
+    return Fraction(p)
+
+
+def percentile_threshold(values: Sequence, p: Fraction | int):
     """Nearest-rank percentile: element at 1-based rank ceil(p/100 * n)."""
     if not values:
         raise StatsError("percentile of empty values is undefined")
-    frac = Fraction(p)
+    frac = _exact(p)
     if not 0 < frac < 100:
         raise StatsError("percentile must be in (0, 100)")
     ordered = sorted(values)
@@ -151,12 +160,12 @@ def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailRe
     )
 
 
-def enrichment_flags(report: TailReport, fold_cutoff: float = 1.5) -> set[str]:
-    """Fields over-represented in the tail: fold above the cutoff and tail count > 0."""
+def enrichment_flags(report: TailReport) -> set[str]:
+    """Fields over-represented in the tail: fold above FOLD_CUTOFF and tail count > 0."""
     return {
         alloc.field_id
         for alloc in report.field_allocation
-        if alloc.field_id is not None and alloc.tail_count > 0 and alloc.fold > fold_cutoff
+        if alloc.field_id is not None and alloc.tail_count > 0 and alloc.fold > FOLD_CUTOFF
     }
 
 

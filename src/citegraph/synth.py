@@ -44,11 +44,14 @@ subfield ids) holds no comma, quote or line break, so the bytes equal what
 `csv.writer` would write. `SynthCorpus.paper_rows`, `authorship_rows` and
 `citation_rows` yield the tuples that the ingest parsers yield, formatting
 ids as they go, for `corpus.build_index` and for checks against the files.
+taxonomy.csv and truth.csv go through `ingest.write_rows`, and `read_truth`
+reads truth.csv back through `ingest.read_rows`. The background's shape
+(h and paper-count ranges, attachment exponent, citing batch) is fixed in
+module constants; `SynthConfig` holds only what callers vary.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from array import array
@@ -64,9 +67,9 @@ from .corpus import (
     PaperRow,
     SubfieldInfo,
 )
-from .errors import CitegraphError, not_utf8
-from .ingest import AUTHORSHIPS_HEADER, CITATIONS_HEADER, PAPERS_HEADER, write_taxonomy
-from .stats import TailReport
+from .errors import CitegraphError
+from .ingest import AUTHORSHIPS_HEADER, CITATIONS_HEADER, PAPERS_HEADER
+from .ingest import read_rows, write_rows, write_taxonomy
 
 LABEL_BACKGROUND = "background"
 LABEL_SELF_CITER = "self_citer"
@@ -88,8 +91,10 @@ _PLANT_H = 32  # smallest h with h*h >= _MIN_ELIGIBLE_CITATIONS
 _BACKGROUND_RATIO_FLOOR = 2.2
 _TEAM_H = 25
 _TEAM_CITATIONS = 2300
-# Light background authors have at most this many full papers.
-_LIGHT_MAX_PAPERS = 12
+_LIGHT_PAPERS = (4, 12)  # full papers of a light background author
+_H_RANGE = (15, 24)  # h of an established author, who has h + 6 to h + 20 full papers
+_ATTACHMENT_EXPONENT = 1.3  # top paper r's share of the extra citations is ~ (r + 1) ** -1.3
+_CITING_BATCH = (2, 6)  # papers cited by each citing paper drawn from the pool
 
 _paper_id = "p%07d".__mod__  # the id of paper number n
 
@@ -129,10 +134,6 @@ class SynthConfig:
     seed: int = 1
     n_background_authors: int = 10_000
     established_fraction: float = 0.38
-    papers_per_author: tuple[int, int] = (4, 56)
-    h_range: tuple[int, int] = (15, 24)
-    attachment_exponent: float = 1.3
-    citing_batch: tuple[int, int] = (2, 6)
     light_citations: tuple[int, int] = (0, 40)
     n_self_citers: int = 20
     n_cartels: int = 3
@@ -155,18 +156,6 @@ class SynthConfig:
                 raise SynthConfigError("hyperteams need joint_papers in (50, 400]")
         if self.n_established > 0 and self.n_background_authors < 2:
             raise SynthConfigError("established authors need at least 2 background authors")
-        if self.citing_batch[0] < 1 or self.citing_batch[0] > self.citing_batch[1]:
-            raise SynthConfigError("citing_batch bounds must satisfy 1 <= lo <= hi")
-        if self.h_range[0] < 8 or self.h_range[0] > self.h_range[1]:
-            raise SynthConfigError("h_range bounds must satisfy 8 <= lo <= hi")
-        if self.papers_per_author[1] < self.h_range[1] + 6:
-            raise SynthConfigError("papers_per_author upper bound must be at least h_range upper + 6")
-        if self.n_background_authors > self.n_established and self.papers_per_author[0] > min(
-            _LIGHT_MAX_PAPERS, self.papers_per_author[1]
-        ):
-            raise SynthConfigError(
-                f"light authors need papers_per_author lower bound <= {_LIGHT_MAX_PAPERS}"
-            )
         if self.light_citations[0] < 0 or self.light_citations[0] > self.light_citations[1]:
             raise SynthConfigError("light_citations bounds must satisfy 0 <= lo <= hi")
 
@@ -183,9 +172,6 @@ class GroundTruth:
 
     def authors_with(self, label: str) -> frozenset[str]:
         return frozenset(a for a, (lab, _) in self.labels.items() if lab == label)
-
-    def label_of(self, author_id: str) -> str:
-        return self.labels[author_id][0]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -291,14 +277,14 @@ def _top_allocation(budget: int, n: int, alpha: float) -> list[int]:
     return shares
 
 
-def _schedule_batches(rng: random.Random, targets: list[tuple[int, int]], batch: tuple[int, int]):
+def _schedule_batches(rng: random.Random, targets: list[tuple[int, int]]):
     """Yield batches of distinct papers whose multiplicities realize the targets exactly."""
     remaining = [(pid, c) for pid, c in targets if c > 0]
     while remaining:
         round_papers = [pid for pid, _ in remaining]
         i = 0
         while i < len(round_papers):
-            k = rng.randint(batch[0], batch[1])
+            k = rng.randint(*_CITING_BATCH)
             yield round_papers[i : i + k]
             i += k
         remaining = [(pid, c - 1) for pid, c in remaining if c > 1]
@@ -341,10 +327,9 @@ def _place_from_pool(
     pool: _CitingPool,
     exclude_author_index: int | None,
     targets: list[tuple[int, int]],
-    batch: tuple[int, int],
 ) -> None:
     used: set[int] = set()
-    for papers in _schedule_batches(builder.rng, targets, batch):
+    for papers in _schedule_batches(builder.rng, targets):
         u = pool.draw(exclude_author_index, used)
         if u is None:
             return
@@ -371,14 +356,12 @@ def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[array, array
         builder.labels[author_id] = (LABEL_BACKGROUND, "")
         home = builder.pick_home_field()
         if i < n_established:
-            h = rng.randint(*cfg.h_range)
-            n_full = min(h + rng.randint(6, 20), cfg.papers_per_author[1])
+            h = rng.randint(*_H_RANGE)
+            n_full = h + rng.randint(6, 20)
             n_other = rng.choice((0, 0, 0, 1, 2))
         else:
             h = 0
-            n_full = rng.randint(
-                cfg.papers_per_author[0], min(_LIGHT_MAX_PAPERS, cfg.papers_per_author[1])
-            )
+            n_full = rng.randint(*_LIGHT_PAPERS)
             n_other = 1 if rng.random() < 0.1 else 0
         for _ in range(n_full):
             subfield_id = builder.paper_subfield(home)
@@ -422,7 +405,7 @@ def _cite_background(
                     c = 0
                 tail_counts.append(c)
                 acc += c
-            top_extra = _top_allocation(budget - acc, h, cfg.attachment_exponent)
+            top_extra = _top_allocation(budget - acc, h, _ATTACHMENT_EXPONENT)
             targets = [(full[r], h + top_extra[r]) for r in range(h)]
             targets += [(full[h + t], c) for t, c in enumerate(tail_counts) if c > 0]
         else:
@@ -431,7 +414,7 @@ def _cite_background(
                 continue
             base, rem = divmod(total, len(full))
             targets = [(p, base + (1 if t < rem else 0)) for t, p in enumerate(full)]
-        _place_from_pool(builder, pool, i, targets, cfg.citing_batch)
+        _place_from_pool(builder, pool, i, targets)
 
 
 def _build_self_citers(builder: _Builder, cfg: SynthConfig) -> None:
@@ -530,46 +513,23 @@ def generate(cfg: SynthConfig) -> SynthCorpus:
     return builder.corpus
 
 
-def write_truth(path: str | Path, truth: GroundTruth) -> int:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRUTH_HEADER)
-        n = 0
-        for author_id in sorted(truth.labels):
-            label, group = truth.labels[author_id]
-            writer.writerow([author_id, label, group])
-            n += 1
-    return n
+def write_truth(path: str | Path, truth: GroundTruth) -> None:
+    write_rows(path, TRUTH_HEADER, ((a, *truth.labels[a]) for a in sorted(truth.labels)))
 
 
 def read_truth(path: str | Path) -> GroundTruth:
-    """Read truth.csv; like the ingest parsers, accept a UTF-8 BOM before the header."""
+    """Read truth.csv through ingest's checked reader; author ids must be unique."""
     labels: dict[str, tuple[str, str]] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != TRUTH_HEADER:
-                raise SynthConfigError(f"{path}: expected header {','.join(TRUTH_HEADER)!r}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(TRUTH_HEADER):
-                    raise SynthConfigError(
-                        f"{path}: line {reader.line_num}: expected {len(TRUTH_HEADER)} fields, got {len(row)}"
-                    )
-                if row[0] in first_line:
-                    raise SynthConfigError(
-                        f"{path}: line {reader.line_num}: duplicate author_id {row[0]!r} "
-                        f"(first on line {first_line[row[0]]})"
-                    )
-                first_line[row[0]] = reader.line_num
-                labels[row[0]] = (row[1], row[2])
-        except UnicodeDecodeError as exc:
-            raise SynthConfigError(f"{path}: {not_utf8(exc, reader.line_num)}") from exc
-        except csv.Error as exc:
-            raise SynthConfigError(f"{path}: line {reader.line_num}: malformed CSV: {exc}") from exc
+    with open(path, "rb") as fh:
+        for line, (author_id, label, group_id) in read_rows(fh, TRUTH_HEADER):
+            if author_id in first_line:
+                raise SynthConfigError(
+                    f"{path}: line {line}: duplicate author_id {author_id!r} "
+                    f"(first on line {first_line[author_id]})"
+                )
+            first_line[author_id] = line
+            labels[author_id] = (label, group_id)
     return GroundTruth(labels=labels)
 
 
@@ -625,7 +585,7 @@ class DetectionResult:
 
 
 def evaluate_detection(
-    truth: GroundTruth, reports: Mapping[str, "TailReport | frozenset[str] | set[str]"]
+    truth: GroundTruth, tails: Mapping[str, frozenset[str] | set[str]]
 ) -> tuple[DetectionResult, ...]:
     """Recall and precision of each planted behavior in its designated tail.
 
@@ -635,10 +595,9 @@ def evaluate_detection(
     """
     results = []
     for motif, metric in MOTIF_TAILS.items():
-        report = reports.get(metric)
-        if report is None:
+        members = tails.get(metric)
+        if members is None:
             continue
-        members = report.members if isinstance(report, TailReport) else frozenset(report)
         planted = truth.authors_with(motif)
         detected = len(planted & members)
         results.append(

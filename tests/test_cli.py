@@ -214,6 +214,32 @@ def test_evaluate_non_utf8_tail_file_fails_with_single_line_error(
     assert err == f"error: {tail}: after line 0: byte 0xff is not valid UTF-8\n"
 
 
+@pytest.mark.parametrize(
+    "name, header, row",
+    [
+        ("truth.csv", "author_id,label,group_id", "h0,self_citer,g1"),
+        ("tail_a50.csv", "author_id,value", "h0,60"),
+    ],
+    ids=["truth", "tail"],
+)
+def test_evaluate_missing_header_fails_with_single_line_error(
+    corpus_dir, run_dir, tmp_path, capsys, name, header, row
+):
+    bad_run = tmp_path / "run"
+    bad_run.mkdir()
+    for path in run_dir.glob("tail_*.csv"):
+        (bad_run / path.name).write_bytes(path.read_bytes())
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes((corpus_dir / "truth.csv").read_bytes())
+    # The header line is missing, so a data row comes first.
+    headless = truth if name == "truth.csv" else bad_run / name
+    headless.write_text(row + "\n" + headless.read_text().partition("\n")[2])
+    rc = main(["evaluate", "--truth", str(truth), "--run-dir", str(bad_run)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {headless}: line 1: expected header {header!r}, got {row!r}\n"
+
+
 #: An unterminated quote on line 3, then enough rows to pass the csv field limit.
 UNTERMINATED_QUOTE = b'"h1,x,y\n' + b"h2,a,b\n" * 20_000
 

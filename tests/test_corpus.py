@@ -170,7 +170,7 @@ def test_taxonomy_lookup():
     tax = tiny_taxonomy()
     info = tax.lookup("102")
     assert info.field_id == "F18"
-    assert tax.field_of("201") == "F05"
+    assert tax.lookup("201").field_id == "F05"
     assert tax.field_name("F06") == "Clinical Medicine"
     assert tax.lookup("999") is None
     assert len(tax) == 5

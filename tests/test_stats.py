@@ -74,6 +74,15 @@ def test_percentile_rejects_bad_input():
         percentile_threshold([1], 100)
 
 
+def test_percentile_refuses_floats():
+    # Fraction(0.1) is 0.1000000000000000055..., whose nearest rank of 1000 is 2, not 1.
+    assert percentile_threshold(range(1, 1001), Fraction(1, 10)) == 1
+    with pytest.raises(StatsError, match="float"):
+        percentile_threshold(range(1, 1001), 0.1)
+    with pytest.raises(StatsError, match="float"):
+        TailSpec("c_over_h2", "lower", 1.0)
+
+
 # ---------------------------------------------------------------------------
 # tail_members
 # ---------------------------------------------------------------------------
@@ -205,9 +214,9 @@ def test_enrichment_equal_shares_not_flagged():
 
 def test_enrichment_cutoff_is_strict():
     report = _report_from_shares({"F01": (0.2, 0.3000001), "F02": (0.8, 0.6999999)})
-    assert enrichment_flags(report, fold_cutoff=1.5) == {"F01"}
+    assert enrichment_flags(report) == {"F01"}
     report2 = _report_from_shares({"F01": (0.2, 0.3), "F02": (0.8, 0.7)})
-    assert enrichment_flags(report2, fold_cutoff=1.5) == set()  # fold exactly 1.5
+    assert enrichment_flags(report2) == set()  # fold exactly 1.5
 
 
 # ---------------------------------------------------------------------------

@@ -239,17 +239,6 @@ def test_paper_kinds_must_fit_in_one_byte():
         SynthCorpus(taxonomy(64))
 
 
-def test_light_authors_need_a_nonempty_paper_range():
-    with pytest.raises(SynthConfigError, match="papers_per_author"):
-        SynthConfig(papers_per_author=(13, 56))
-    # Without light authors the lower bound is never drawn from.
-    cfg = SynthConfig(
-        n_background_authors=4, established_fraction=1.0, papers_per_author=(13, 56),
-        n_self_citers=0, n_cartels=0, n_hyperteams=0,
-    )
-    assert generate(cfg).n_papers > 0
-
-
 def test_evaluate_detection_full_recall(small_corpus):
     truth = small_corpus.truth
     reports = {
