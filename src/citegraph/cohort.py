@@ -47,19 +47,10 @@ def _seeded_pick(candidates: list[str], seed: int, author_id: str, level: str) -
     return ordered[int.from_bytes(digest, "big") % len(ordered)]
 
 
-def _majority_pick(
-    paper_counts: dict[str, int],
-    citation_sums: dict[str, int],
-    seed: int,
-    author_id: str,
-    level: str,
-) -> str:
-    top_papers = max(paper_counts.values())
-    tied = [k for k, n in paper_counts.items() if n == top_papers]
-    if len(tied) == 1:
-        return tied[0]
-    top_citations = max(citation_sums[k] for k in tied)
-    tied = [k for k in tied if citation_sums[k] == top_citations]
+def _majority_pick(tally: dict[str, list[int]], seed: int, author_id: str, level: str) -> str:
+    """The key with the largest `[papers, citations]` tally; the seeded draw breaks a full tie."""
+    top = max(tally.values())
+    tied = [k for k, counts in tally.items() if counts == top]
     if len(tied) == 1:
         return tied[0]
     return _seeded_pick(tied, seed, author_id, level)
@@ -78,11 +69,9 @@ def _vote_field(
     """
     taxonomy = index.taxonomy
     subfields = index.subfields
-    field_papers: dict[str, int] = {}
-    field_citations: dict[str, int] = {}
-    by_field_subfield: dict[str, dict[str, int]] = {}
-    by_field_subfield_cites: dict[str, dict[str, int]] = {}
-
+    # [papers, citations] per field, and per subfield within each field.
+    by_field: dict[str, list[int]] = {}
+    by_subfield: dict[str, dict[str, list[int]]] = {}
     for p, cites in zip(full, counts):
         subfield_id = subfields[p]
         if subfield_id is None:
@@ -91,23 +80,17 @@ def _vote_field(
         if info is None:
             continue
         fid = info.field_id
-        field_papers[fid] = field_papers.get(fid, 0) + 1
-        field_citations[fid] = field_citations.get(fid, 0) + cites
-        sub_counts = by_field_subfield.setdefault(fid, {})
-        sub_counts[subfield_id] = sub_counts.get(subfield_id, 0) + 1
-        sub_cites = by_field_subfield_cites.setdefault(fid, {})
-        sub_cites[subfield_id] = sub_cites.get(subfield_id, 0) + cites
+        field_tally = by_field.setdefault(fid, [0, 0])
+        field_tally[0] += 1
+        field_tally[1] += cites
+        subfield_tally = by_subfield.setdefault(fid, {}).setdefault(subfield_id, [0, 0])
+        subfield_tally[0] += 1
+        subfield_tally[1] += cites
 
-    if not field_papers:
+    if not by_field:
         return None
-    field_id = _majority_pick(field_papers, field_citations, seed, author_id, "field")
-    subfield_id = _majority_pick(
-        by_field_subfield[field_id],
-        by_field_subfield_cites[field_id],
-        seed,
-        author_id,
-        f"subfield:{field_id}",
-    )
+    field_id = _majority_pick(by_field, seed, author_id, "field")
+    subfield_id = _majority_pick(by_subfield[field_id], seed, author_id, f"subfield:{field_id}")
     return field_id, subfield_id
 
 

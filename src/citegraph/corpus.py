@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import gc
 import logging
-import sys
 import time
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -38,11 +37,14 @@ class CorpusError(CitegraphError):
     """Inconsistent input records that cannot form a valid index."""
 
 
-class DocType(Enum):
-    ARTICLE = "article"
-    CONFERENCE_PAPER = "conference_paper"
-    REVIEW = "review"
-    OTHER = "other"
+class DocType(IntEnum):
+    """A paper's document type. Its value is the paper's byte in
+    `CorpusIndex.doc_types`; its lower-cased name is its papers.csv code."""
+
+    ARTICLE = 0
+    CONFERENCE_PAPER = 1
+    REVIEW = 2
+    OTHER = 3
 
     @classmethod
     def from_string(cls, raw: str) -> "DocType":
@@ -50,20 +52,15 @@ class DocType(Enum):
         return _DOC_TYPE_CODES.get(raw.strip().lower(), cls.OTHER)
 
 
-_DOC_TYPE_CODES = {member.value: member for member in DocType}
+_DOC_TYPE_CODES = {member.name.lower(): member for member in DocType}
 
-#: Document types that count as full papers everywhere in the pipeline.
+#: Document types that count as full papers everywhere in the pipeline. As
+#: DocType is an int, a CorpusIndex doc-type byte is tested against it directly.
 FULL_PAPER_TYPES = frozenset({DocType.ARTICLE, DocType.CONFERENCE_PAPER, DocType.REVIEW})
 
-#: The per-paper doc-type byte of a CorpusIndex is a position in this tuple.
-DOC_TYPES = tuple(DocType)
-_DOC_TYPE_BYTE = {doc_type: code for code, doc_type in enumerate(DOC_TYPES)}
-#: Doc-type bytes of the full-paper types.
-FULL_DOC_CODES = frozenset(_DOC_TYPE_BYTE[doc_type] for doc_type in FULL_PAPER_TYPES)
 
-
-#: Row shapes that build_index consumes, the ingest parsers yield and the
-#: ingest writers and a synth corpus's row iterators produce.
+#: Row shapes that build_index consumes and that the ingest parsers and a
+#: synth corpus's row iterators yield.
 PaperRow = tuple[str, DocType, str | None]
 AuthorshipRow = tuple[str, str]
 CitationRow = tuple[str, str]
@@ -119,10 +116,10 @@ class CorpusIndex:
     """Integer-id CSR index over a de-duplicated publication corpus.
 
     Paper int ids are positions in `paper_ids` and author int ids positions
-    in `author_ids`; both lists are sorted and hold the interned id strings.
+    in `author_ids`; both lists are sorted and hold the id strings as read.
     Per paper p:
 
-        doc_types[p]      byte code of its DocType, a position in DOC_TYPES
+        doc_types[p]      its DocType's value
         subfields[p]      its subfield_id, or None when unclassified
         team_of[p]        id of its distinct sorted author tuple, or -1 for
                           a paper without authors
@@ -180,7 +177,7 @@ class CorpusIndex:
         return [
             p
             for p in self.paper_targets[offsets[author]:offsets[author + 1]]
-            if doc_types[p] in FULL_DOC_CODES
+            if doc_types[p] in FULL_PAPER_TYPES
         ]
 
     @property
@@ -233,7 +230,7 @@ def build_index(
     (paper, author) int pairs and turned into teams and author rows before
     the first citation is read; each cited paper collects its citing ids in
     one list, sorted and deduplicated into the CSR once all citations are
-    in. Every kept id string is interned once; dropped rows intern nothing.
+    in. Ids are stored as the rows hold them, one string per kept id.
 
     Duplicate rows collapse. A paper_id appearing twice with a different
     doc_type or subfield_id is a hard error. Citation edges or authorships
@@ -261,30 +258,25 @@ def _build_index(
     citations: Iterable[CitationRow],
     taxonomy: FieldTaxonomy,
 ) -> CorpusIndex:
-    intern = sys.intern
     clock = time.perf_counter
 
     # paper_id -> (DocType, subfield_id) while reading, then -> int id. Papers
     # of one doc type and subfield share one tuple.
     paper_map: dict[str, object] = {}
     kinds: dict[tuple[DocType, str | None], tuple[DocType, str | None]] = {}
+    shared = kinds.setdefault
     for pid, doc_type, subfield_id in papers:
+        kind = (doc_type, subfield_id)
         existing = paper_map.get(pid)
         if existing is None:
-            kind = (doc_type, subfield_id)
-            shared = kinds.get(kind)
-            if shared is None:
-                if subfield_id is not None:
-                    kind = (doc_type, intern(subfield_id))
-                shared = kinds[kind] = kind
-            paper_map[intern(pid)] = shared
-        elif existing[0] is not doc_type or existing[1] != subfield_id:
+            paper_map[pid] = shared(kind, kind)
+        elif existing != kind:
             raise CorpusError(f"conflicting duplicate paper record for paper_id {pid!r}")
 
     started = clock()
     paper_ids = sorted(paper_map)
     records = [paper_map[pid] for pid in paper_ids]
-    doc_types = bytes([_DOC_TYPE_BYTE[doc_type] for doc_type, _ in records])
+    doc_types = bytes(doc_type for doc_type, _ in records)
     subfields: list[str | None] = [subfield_id for _, subfield_id in records]
     del records
     n_papers = len(paper_ids)
@@ -304,7 +296,7 @@ def _build_index(
             continue
         a = first_seen.get(aid)
         if a is None:
-            a = first_seen[intern(aid)] = len(first_seen)
+            a = first_seen[aid] = len(first_seen)
         ship_papers.append(p)
         ship_authors.append(a)
 

@@ -26,7 +26,7 @@ row, is recorded there too. Every
 IngestError carries the line and, when the source has a name, starts with
 it.
 
-Ids are yielded as read; corpus.build_index interns the ones it keeps.
+Ids are yielded as read, and corpus.build_index stores them as they are.
 
 `read_rows` reads every small table (taxonomy.csv, truth.csv, the tail
 files) with the same checks and messages, and `write_rows` writes every CSV
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 import time
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
@@ -259,14 +258,7 @@ def parse_taxonomy(source: IO[bytes], stats: FileIngestStats | None = None) -> F
     ):
         if not subfield_id or not field_id:
             raise IngestError(_named(source, f"line {line}: empty subfield_id or field_id"))
-        entries.append(
-            SubfieldInfo(
-                subfield_id=sys.intern(subfield_id),
-                subfield_name=subfield_name,
-                field_id=sys.intern(field_id),
-                field_name=field_name,
-            )
-        )
+        entries.append(SubfieldInfo(subfield_id, subfield_name, field_id, field_name))
     return FieldTaxonomy(entries)
 
 

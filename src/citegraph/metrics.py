@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .corpus import FULL_DOC_CODES, CorpusIndex
+from .corpus import FULL_PAPER_TYPES, CorpusIndex
 from .errors import CitegraphError
 
 
@@ -192,7 +192,7 @@ def a50pc_oracle_selections(index: CorpusIndex, author_id: str) -> list[tuple[st
     remaining: dict[int, int] = {}
     total = 0
     for p in papers:
-        if index.doc_types[p] not in FULL_DOC_CODES:
+        if index.doc_types[p] not in FULL_PAPER_TYPES:
             continue
         for u in index.citers_of[p]:
             remaining[u] = remaining.get(u, 0) + 1

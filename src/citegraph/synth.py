@@ -39,7 +39,7 @@ numbers, not one list per author.
 
 `write_corpus` formats each record row straight from the columns, one
 `%` formatting per row, without the csv module: every field it writes
-(the `p`/`b`/`s`/`c..m`/`t..m` ids, DocType values and the default
+(the `p`/`b`/`s`/`c..m`/`t..m` ids, DocType codes and the default
 subfield ids) holds no comma, quote or line break, so the bytes equal what
 `csv.writer` would write. `SynthCorpus.paper_rows`, `authorship_rows` and
 `citation_rows` yield the tuples that the ingest parsers yield, formatting
@@ -551,7 +551,7 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
         "taxonomy": out / "taxonomy.csv",
         "truth": out / "truth.csv",
     }
-    kind_fields = [f"{doc_type.value},{subfield or ''}" for doc_type, subfield in corpus.kinds]
+    kind_fields = [f"{doc_type.name.lower()},{subfield or ''}" for doc_type, subfield in corpus.kinds]
     kind_field = kind_fields.__getitem__
     _write_lines(
         paths["papers"],

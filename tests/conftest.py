@@ -4,7 +4,6 @@ import random
 from typing import NamedTuple
 
 from citegraph.corpus import (
-    DOC_TYPES,
     CorpusIndex,
     DocType,
     FieldTaxonomy,
@@ -57,7 +56,7 @@ def decode_index(index: CorpusIndex) -> DecodedIndex:
     aids = index.author_ids
     return DecodedIndex(
         papers={
-            pid: (DOC_TYPES[code], subfield)
+            pid: (DocType(code), subfield)
             for pid, code, subfield in zip(pids, index.doc_types, index.subfields)
         },
         papers_of={aid: tuple(pids[p] for p in index.papers_of[a]) for a, aid in enumerate(aids)},

@@ -118,6 +118,17 @@ def test_assign_field_random_tie_break_is_deterministic():
     assert picks == {"F18", "F05"}  # both sides reachable across seeds
 
 
+def test_assign_subfield_random_tie_break_is_deterministic():
+    # F18 wins outright; its subfields 102 and 103 tie on papers and on citations.
+    idx = _field_corpus(
+        [("p1", "102"), ("p2", "103"), ("p3", "201")],
+        citations_per_paper={"p1": 2, "p2": 2},
+    )
+    picks = [voted_field(idx, "A", seed=s) for s in range(40)]
+    assert [voted_field(idx, "A", seed=s) for s in range(40)] == picks
+    assert set(picks) == {("F18", "102"), ("F18", "103")}  # both subfields reachable across seeds
+
+
 def test_assign_field_strict_majority_unaffected_by_seed():
     idx = _field_corpus([("p1", "102"), ("p2", "102"), ("p3", "201")])
     assert {voted_field(idx, "A", seed=s) for s in range(20)} == {("F18", "102")}

@@ -67,6 +67,12 @@ def test_conflicting_duplicate_paper_is_hard_error():
             authorships=[],
             citations=[],
         )
+    with pytest.raises(CorpusError, match="p1"):
+        make_index(
+            papers=[("p1", "article", "102"), ("p1", "article", None)],
+            authorships=[],
+            citations=[],
+        )
 
 
 def test_self_loop_edges_dropped_at_build():
@@ -97,6 +103,7 @@ def test_authorship_for_unknown_paper_dropped_with_count():
         (DocType.REVIEW, True),
         (DocType.OTHER, False),
     ],
+    ids=lambda v: f"DocType.{v.name}" if isinstance(v, DocType) else None,
 )
 def test_is_full_paper(doc_type, expected):
     assert (doc_type in FULL_PAPER_TYPES) is expected
@@ -108,6 +115,18 @@ def test_doc_type_from_string_folds_case_and_defaults_to_other():
     assert DocType.from_string("conference_paper") is DocType.CONFERENCE_PAPER
     assert DocType.from_string("editorial") is DocType.OTHER
     assert DocType.from_string("") is DocType.OTHER
+
+
+def test_doc_type_bytes_are_doc_type_values():
+    papers = [
+        ("p3", DocType.OTHER, None),
+        ("p1", DocType.REVIEW, "102"),
+        ("p4", DocType.ARTICLE, "201"),
+        ("p2", DocType.CONFERENCE_PAPER, None),
+    ]
+    idx = build_index(papers, [], [], tiny_taxonomy())
+    # Papers in sorted id order: p1, p2, p3, p4.
+    assert list(idx.doc_types) == [DocType.REVIEW, DocType.CONFERENCE_PAPER, DocType.OTHER, DocType.ARTICLE]
 
 
 def test_round_trip_reproduces_deduplicated_records():

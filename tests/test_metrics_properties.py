@@ -23,7 +23,7 @@ from conftest import coauthor_counts, decode_index, full_of, make_index
 
 EXAMINED = "e"
 POOL = ["a", "b", "c", "d", EXAMINED, "f"]
-DOC_TYPES = ["article", "article", "conference_paper", "review", "other"]
+DOC_CODES = ["article", "article", "conference_paper", "review", "other"]
 
 
 def _tie_groups(draw, team: tuple[str, ...]) -> list[tuple[tuple[str, ...], int]]:
@@ -62,12 +62,12 @@ def team_corpora(draw):
     own = [f"own{i}" for i in range(draw(st.integers(1, 3)))]
     for i, pid in enumerate(own):
         # own0 is always a full paper: each tie-group paper cites it alone.
-        papers.append((pid, "article" if i == 0 else draw(st.sampled_from(DOC_TYPES)), None))
+        papers.append((pid, "article" if i == 0 else draw(st.sampled_from(DOC_CODES)), None))
         ships.extend((pid, a) for a in {EXAMINED, *draw(author_sets)})
 
     def add_citing(authors, cited):
         pid = f"cit{len(papers):02d}"
-        papers.append((pid, draw(st.sampled_from(DOC_TYPES)), None))
+        papers.append((pid, draw(st.sampled_from(DOC_CODES)), None))
         ships.extend((pid, a) for a in authors)
         edges.extend((pid, v) for v in cited)
 
