@@ -97,18 +97,13 @@ def _vote_field(
 def assign_fields(
     index: CorpusIndex, authors: Iterable[str], seed: int
 ) -> dict[str, tuple[str, str]]:
-    """Field vote of each of `authors` (string ids), omitting those with no
-    classified full paper. The pipeline votes inside eligible_authors and
-    never calls this; it stays because the benchmark's traced run
-    (bench/child.py) wraps it."""
-    out: dict[str, tuple[str, str]] = {}
-    for author_id in authors:
-        author = index.author_index(author_id)
-        full = [] if author is None else index.full_papers(author)
-        assigned = _vote_field(index, author_id, full, citation_counts(index, full), seed)
-        if assigned is not None:
-            out[author_id] = assigned
-    return out
+    """Field vote of each of `authors` (string ids), in the order given: the
+    vote of eligible_authors with no floors, so an author with no classified
+    full paper, or unknown to the index, is omitted. The pipeline never calls
+    this; it stays because the benchmark's traced run (bench/child.py) wraps
+    it."""
+    voted = eligible_authors(index, EligibilityConfig(min_full_papers=0, min_citations=0, seed=seed))
+    return {a: voted[a] for a in authors if a in voted}
 
 
 def eligible_authors(index: CorpusIndex, cfg: EligibilityConfig) -> dict[str, tuple[str, str]]:

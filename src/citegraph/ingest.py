@@ -1,6 +1,6 @@
 """The one CSV reader and writer: the four corpus files and every small table.
 
-Formats (UTF-8 with an optional BOM, RFC 4180 quoting, header row required):
+Formats (UTF-8 with an optional BOM, strict RFC 4180 quoting, header row required):
 
     papers.csv       paper_id,doc_type,subfield_id
     authorships.csv  paper_id,author_id
@@ -92,7 +92,7 @@ class IngestReport:
 
 def _header_checked_reader(source: IO[bytes], expected_header: list[str]) -> Iterator[list[str]]:
     """A csv reader over binary `source` whose header row has been read and checked."""
-    reader = csv.reader(io.TextIOWrapper(source, encoding="utf-8-sig", newline=""))
+    reader = _csv_reader(source)
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -111,13 +111,55 @@ def _header_checked_reader(source: IO[bytes], expected_header: list[str]) -> Ite
     return reader
 
 
+def _csv_reader(source: IO[bytes], errors: str = "strict"):
+    """A strict RFC 4180 csv reader over binary `source`, UTF-8 with an optional BOM."""
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", errors=errors, newline="")
+    return csv.reader(text, strict=True)
+
+
 def _malformed(source: IO, exc: csv.Error | UnicodeDecodeError, line_num: int) -> IngestError:
+    """The error for `exc`, naming the line where the bad record or byte starts.
+
+    That line is found here, on the error path only, by reading a seekable
+    `source` again from the top; a source that cannot seek is named by the
+    reader's `line_num`.
+    """
+    line = _error_line(source, exc) if source.seekable() else None
     if isinstance(exc, UnicodeDecodeError):
-        # Text streams decode ahead in blocks, so the line is only a lower bound.
-        message = f"after line {line_num}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
+        problem = f"byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
+        if line is None:
+            # Text streams decode ahead in blocks, so the line is only a lower bound.
+            message = f"after line {line_num}: {problem}"
+        else:
+            message = f"line {line}: {problem}"
     else:
-        message = f"line {line_num}: malformed CSV: {exc}"
+        message = f"line {line_num if line is None else line}: malformed CSV: {exc}"
     return IngestError(_named(source, message))
+
+
+def _error_line(source: IO[bytes], exc: csv.Error | UnicodeDecodeError) -> int | None:
+    """The line of seekable `source` where the byte or record that raised `exc` starts.
+
+    A bad byte is found by decoding raw lines one at a time; a bad record by
+    a fresh reader, which decodes with replacement so that only the csv
+    error can stop it.
+    """
+    source.seek(0)
+    if isinstance(exc, UnicodeDecodeError):
+        for line, raw in enumerate(source, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line
+        return None
+    reader = _csv_reader(source, errors="replace")
+    start = 1
+    try:
+        for _ in reader:
+            start = reader.line_num + 1
+    except csv.Error:
+        return start
+    return None
 
 
 def _bad_row(source: IO, reader, problem: str) -> IngestError:

@@ -10,6 +10,7 @@ members lie strictly below the threshold, upper-tail members strictly above.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
@@ -66,7 +67,6 @@ class FieldAllocation:
 
 @dataclass(frozen=True)
 class TailReport:
-    spec: TailSpec
     cohort_size: int
     threshold: Fraction | int
     members: frozenset[str]
@@ -97,18 +97,6 @@ def percentile_threshold(values: Sequence, p: Fraction | int):
     return ordered[max(rank, 1) - 1]
 
 
-def _metric_values(metrics: Mapping[str, AuthorMetrics], metric: str) -> dict[str, Fraction | int]:
-    return {a: getattr(m, metric) for a, m in metrics.items()}
-
-
-def _apply_exclusions(
-    metrics: Mapping[str, AuthorMetrics], excluded_fields: frozenset[str]
-) -> dict[str, AuthorMetrics]:
-    if not excluded_fields:
-        return dict(metrics)
-    return {a: m for a, m in metrics.items() if m.field_id not in excluded_fields}
-
-
 def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailReport:
     """Threshold, members, summary, and per-field allocation for one tail.
 
@@ -116,10 +104,10 @@ def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailRe
     removing authors in excluded fields. Fold is a field's tail share divided
     by its cohort share.
     """
-    cohort = _apply_exclusions(metrics, spec.excluded_fields)
+    cohort = {a: m for a, m in metrics.items() if m.field_id not in spec.excluded_fields}
     if not cohort:
         raise StatsError("cohort is empty after field exclusion")
-    values = _metric_values(cohort, spec.metric)
+    values = {a: getattr(m, spec.metric) for a, m in cohort.items()}
     ordered = sorted(values.values())
 
     if spec.tail == "lower":
@@ -129,28 +117,21 @@ def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailRe
         threshold = percentile_threshold(ordered, 100 - Fraction(spec.percentile))
         members = frozenset(a for a, v in values.items() if v > threshold)
 
-    cohort_fields: dict[str | None, int] = {}
-    for m in cohort.values():
-        cohort_fields[m.field_id] = cohort_fields.get(m.field_id, 0) + 1
-    tail_fields: dict[str | None, int] = {}
-    for a in members:
-        fid = cohort[a].field_id
-        tail_fields[fid] = tail_fields.get(fid, 0) + 1
-
+    cohort_fields = Counter(m.field_id for m in cohort.values())
+    tail_fields = Counter(cohort[a].field_id for a in members)
     n_cohort = len(cohort)
     n_tail = len(members)
     allocation = tuple(
         FieldAllocation(
             field_id=fid,
             cohort_count=cohort_fields[fid],
-            tail_count=tail_fields.get(fid, 0),
+            tail_count=tail_fields[fid],
             cohort_share=cohort_fields[fid] / n_cohort,
-            tail_share=(tail_fields.get(fid, 0) / n_tail) if n_tail else 0.0,
+            tail_share=(tail_fields[fid] / n_tail) if n_tail else 0.0,
         )
         for fid in sorted(cohort_fields, key=lambda f: (f is None, f))
     )
     return TailReport(
-        spec=spec,
         cohort_size=n_cohort,
         threshold=threshold,
         members=members,
@@ -171,9 +152,6 @@ def enrichment_flags(report: TailReport) -> set[str]:
 
 @dataclass(frozen=True)
 class Histogram:
-    lo: Fraction
-    hi: Fraction
-    bin_width: Fraction
     bins: tuple[tuple[Fraction, int], ...]
     n_below: int
     n_above: int
@@ -202,7 +180,7 @@ def histogram(values: Sequence, bin_width, lo, hi) -> Histogram:
         else:
             counts[int((frac - low) / width)] += 1
     bins = tuple((low + i * width, counts[i]) for i in range(n_bins))
-    return Histogram(lo=low, hi=high, bin_width=width, bins=bins, n_below=n_below, n_above=n_above)
+    return Histogram(bins=bins, n_below=n_below, n_above=n_above)
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ def test_evaluate_non_utf8_truth_fails_with_single_line_error(run_dir, tmp_path,
     rc = main(["evaluate", "--truth", str(truth), "--run-dir", str(run_dir)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"error: {truth}: after line 0: byte 0xff is not valid UTF-8\n"
+    assert err == f"error: {truth}: line 2: byte 0xff is not valid UTF-8\n"
 
 
 def test_evaluate_non_utf8_tail_file_fails_with_single_line_error(
@@ -211,7 +211,7 @@ def test_evaluate_non_utf8_tail_file_fails_with_single_line_error(
     rc = main(["evaluate", "--truth", str(corpus_dir / "truth.csv"), "--run-dir", str(bad_run)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"error: {tail}: after line 0: byte 0xff is not valid UTF-8\n"
+    assert err == f"error: {tail}: line 2: byte 0xff is not valid UTF-8\n"
 
 
 @pytest.mark.parametrize(
@@ -251,7 +251,7 @@ def test_evaluate_malformed_truth_csv_fails_with_single_line_error(run_dir, tmp_
     assert rc == 2
     err = capsys.readouterr().err
     assert err == (
-        f"error: {truth}: line 18727: malformed CSV: field larger than field limit (131072)\n"
+        f"error: {truth}: line 3: malformed CSV: field larger than field limit (131072)\n"
     )
 
 
@@ -268,7 +268,7 @@ def test_evaluate_malformed_tail_csv_fails_with_single_line_error(
     assert rc == 2
     err = capsys.readouterr().err
     assert err == (
-        f"error: {tail}: line 18727: malformed CSV: field larger than field limit (131072)\n"
+        f"error: {tail}: line 3: malformed CSV: field larger than field limit (131072)\n"
     )
 
 

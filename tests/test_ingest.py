@@ -197,13 +197,13 @@ MALFORMED_INPUTS = {
         parse_citations,
         "citations.csv",
         UNTERMINATED_QUOTE,
-        "citations.csv: line 21848: malformed CSV: field larger than field limit (131072)",
+        "citations.csv: line 3: malformed CSV: field larger than field limit (131072)",
     ),
     "non_utf8": (
         parse_authorships,
         "authorships.csv",
         b"paper_id,author_id\np1,a1\np\xff2,a2\n",
-        "authorships.csv: after line 0: byte 0xff is not valid UTF-8",
+        "authorships.csv: line 3: byte 0xff is not valid UTF-8",
     ),
     "after_two_line_quoted_field": (
         parse_papers,
@@ -217,6 +217,30 @@ MALFORMED_INPUTS = {
         b"citing_paper_id,cited_paper_id\n\n\np1,p2\n\np3\n",
         "citations.csv: line 6: expected 2 fields, got 1",
     ),
+    "stray_quote_quoted_crlf": (
+        parse_citations,
+        "citations.csv",
+        b'"citing_paper_id","cited_paper_id"\r\n"p1","p2"\r\n"p3,p4\r\n"p5","p6"\r\n',
+        "citations.csv: line 3: malformed CSV: ',' expected after '\"'",
+    ),
+    "quote_open_at_end_of_file": (
+        parse_citations,
+        "citations.csv",
+        b'citing_paper_id,cited_paper_id\np1,p2\np3,"p4\n',
+        "citations.csv: line 3: malformed CSV: unexpected end of data",
+    ),
+    "non_utf8_after_two_line_quoted_field": (
+        parse_papers,
+        "papers.csv",
+        b'paper_id,doc_type,subfield_id\n"p\n1",article,102\np\xff2,article,102\n',
+        "papers.csv: line 4: byte 0xff is not valid UTF-8",
+    ),
+    "non_utf8_header": (
+        parse_papers,
+        "papers.csv",
+        b"paper_\xffid,doc_type,subfield_id\np1,article,102\n",
+        "papers.csv: line 1: byte 0xff is not valid UTF-8",
+    ),
 }
 
 
@@ -226,6 +250,27 @@ def test_ingest_error_messages_are_exact(case):
     with pytest.raises(IngestError) as exc:
         _consume(parse, _named_stream(name, data))
     assert str(exc.value) == message
+
+
+class _UnseekableStream(io.RawIOBase):
+    """A readable byte stream that cannot seek, like a pipe."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._data.readinto(buffer)
+
+
+def test_non_utf8_error_in_a_stream_that_cannot_seek_keeps_the_readers_line():
+    stream = _UnseekableStream(b"paper_id,author_id\np1,a1\np\xff2,a2\n")
+    assert not stream.seekable()
+    with pytest.raises(IngestError) as exc:
+        list(parse_authorships(stream))
+    assert str(exc.value) == "after line 0: byte 0xff is not valid UTF-8"
 
 
 def test_stats_are_recorded_when_parser_is_closed_early():

@@ -179,7 +179,6 @@ def _report_from_shares(shares):
         for field, (cs, ts) in sorted(shares.items())
     )
     return TailReport(
-        spec=TailSpec("c_over_h2", "lower", 1),
         cohort_size=10_000,
         threshold=Fraction(1),
         members=frozenset(),
