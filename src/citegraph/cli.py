@@ -12,6 +12,8 @@ Subcommands:
 Every CSV goes through `ingest`: reports are written by `ingest.write_rows`,
 and `evaluate` reads truth.csv and the tail files by `ingest.read_rows`,
 with the corpus files' header, width, CSV and UTF-8 checks and messages.
+metrics.csv and evaluation.csv have one column per field of `metrics.AuthorMetrics`
+and `synth.DetectionResult`; `_cell` formats their values and those of the tails.
 
 Report files are pure functions of (inputs, config, seed): reruns produce
 byte-identical bytes. Volatile facts (durations, peak memory overall and
@@ -26,7 +28,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -39,17 +41,7 @@ from . import synth as synth_mod
 from .corpus import CorpusIndex, build_index
 from .errors import CitegraphError
 
-METRICS_CSV_HEADER = [
-    "author_id",
-    "field_id",
-    "subfield_id",
-    "n_full_papers",
-    "citations",
-    "h_index",
-    "c_over_h2",
-    "a50pc",
-    "a50",
-]
+METRICS_CSV_HEADER = [f.name for f in fields(metrics_mod.AuthorMetrics)]
 
 TAIL_CSV_HEADER = ["author_id", "value"]
 
@@ -90,10 +82,17 @@ def _require_file(path: str, role: str) -> None:
         raise CitegraphError(f"{role} file not found: {path}")
 
 
-def _fmt_value(metric: str, value) -> str:
-    if metric == "c_over_h2":
+def _cell(value) -> str:
+    """A report cell: an exact rational with 2 decimals, any other float with 6, None empty."""
+    if isinstance(value, Fraction):
         return metrics_mod.format_2dp(value)
-    return str(value)
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return "" if value is None else str(value)
+
+
+def _cells(records, header: list[str]) -> list[list[str]]:
+    return [[_cell(getattr(r, name)) for name in header] for r in records]
 
 
 def _write_csv(path: Path, header: list[str], rows) -> str:
@@ -141,7 +140,6 @@ def run_pipeline(cfg: RunConfig) -> Path:
     """Execute the full pipeline; returns the output directory."""
     specs = cfg.tail_specs()  # rejects a bad percentile before any work is done
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     stages_peak: dict[str, float | None] = {}
     t_total = time.perf_counter()
@@ -163,27 +161,11 @@ def run_pipeline(cfg: RunConfig) -> Path:
     timings["metrics"] = time.perf_counter() - t
     stages_peak["metrics"] = _vm_hwm_mb()
 
-    # Every report table is computed before the first file is written, so a
-    # run that fails while reporting leaves no partial report set behind.
+    # Every report table is computed before the output directory is made, so
+    # a run that fails leaves no directory and no partial report set behind.
     t = time.perf_counter()
     tables: dict[str, tuple[list[str], list[list]]] = {}
-    tables["metrics.csv"] = (
-        METRICS_CSV_HEADER,
-        [
-            [
-                m.author_id,
-                m.field_id,
-                m.subfield_id,
-                m.n_full_papers,
-                m.citations,
-                m.h_index,
-                metrics_mod.format_2dp(m.c_over_h2),
-                m.a50pc,
-                m.a50,
-            ]
-            for m in (all_metrics[a] for a in sorted(all_metrics))
-        ],
-    )
+    tables["metrics.csv"] = (METRICS_CSV_HEADER, _cells(all_metrics.values(), METRICS_CSV_HEADER))
 
     # Report files are written even for an empty cohort (header-only), so the
     # output file set never depends on the data.
@@ -198,7 +180,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
             tail_reports[metric] = tail_report
         tables[f"tail_{metric}.csv"] = (
             TAIL_CSV_HEADER,
-            [[a, _fmt_value(metric, getattr(all_metrics[a], metric))] for a in members],
+            [[a, _cell(getattr(all_metrics[a], metric))] for a in members],
         )
         tables[f"allocation_{metric}.csv"] = (
             [
@@ -213,13 +195,13 @@ def run_pipeline(cfg: RunConfig) -> Path:
             ],
             [
                 [
-                    alloc.field_id or "",
-                    index.taxonomy.field_name(alloc.field_id) or "" if alloc.field_id else "",
+                    _cell(alloc.field_id),
+                    _cell(index.taxonomy.field_name(alloc.field_id)),
                     alloc.cohort_count,
-                    f"{alloc.cohort_share:.6f}",
+                    _cell(alloc.cohort_share),
                     alloc.tail_count,
-                    f"{alloc.tail_share:.6f}",
-                    "inf" if alloc.fold == float("inf") else f"{alloc.fold:.4f}",
+                    _cell(alloc.tail_share),
+                    f"{alloc.fold:.4f}",
                     str(alloc.field_id in flagged).lower(),
                 ]
                 for alloc in allocation
@@ -278,6 +260,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         cooccur_rows,
     )
 
+    out.mkdir(parents=True, exist_ok=True)
     checksums = {
         name: _write_csv(out / name, header, rows) for name, (header, rows) in tables.items()
     }
@@ -321,11 +304,11 @@ def run_pipeline(cfg: RunConfig) -> Path:
         "cohort": {"n_eligible": len(all_metrics)},
         "tails": {
             metric: {
-                "threshold": _fmt_value(metric, rep.threshold),
+                "threshold": _cell(rep.threshold),
                 "members": len(rep.members),
                 "cohort_size": rep.cohort_size,
-                "median": _fmt_value(metric, rep.median),
-                "iqr": [_fmt_value(metric, rep.iqr[0]), _fmt_value(metric, rep.iqr[1])],
+                "median": _cell(rep.median),
+                "iqr": [_cell(rep.iqr[0]), _cell(rep.iqr[1])],
             }
             for metric, rep in sorted(tail_reports.items())
         },
@@ -435,22 +418,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             f"recall={recall} tail_size={r.tail_size} precision={precision}"
         )
     if args.out:
-        _write_csv(
-            Path(args.out),
-            ["motif", "tail_metric", "n_planted", "n_detected", "recall", "tail_size", "precision"],
-            (
-                [
-                    r.motif,
-                    r.tail_metric,
-                    r.n_planted,
-                    r.n_detected,
-                    "" if r.recall is None else f"{r.recall:.6f}",
-                    r.tail_size,
-                    "" if r.precision is None else f"{r.precision:.6f}",
-                ]
-                for r in results
-            ),
-        )
+        header = [f.name for f in fields(synth_mod.DetectionResult)]
+        _write_csv(Path(args.out), header, _cells(results, header))
     return 0
 
 

@@ -19,12 +19,13 @@ object per row:
 Each parser takes a csv reader whose header has been checked, then runs a
 single `for row in reader` loop that checks the width (by unpacking the
 row), the required ids and, for citations, drops self loops, all inline:
-one generator frame per row. Row counts, dropped rows by reason among
-them, are kept in locals and written to the per-file stats when the loop
-ends or the generator is closed; the file's parse time, from header to last
-row, is recorded there too. Every
-IngestError carries the line and, when the source has a name, starts with
-it.
+one generator frame per row. The rows read and the dropped rows by reason
+are kept in locals and written to the per-file stats when the loop ends or
+the generator is closed (the rows emitted follow from them), with the
+file's parse time from header to last row. Every IngestError carries the
+line and, when the source has a name, starts with it. Readers never close
+the stream they are given: they detach their text wrapper from it when
+they finish, fail or are closed.
 
 Ids are yielded as read, and corpus.build_index stores them as they are.
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -57,7 +58,7 @@ from .errors import CitegraphError
 PAPERS_HEADER = ["paper_id", "doc_type", "subfield_id"]
 AUTHORSHIPS_HEADER = ["paper_id", "author_id"]
 CITATIONS_HEADER = ["citing_paper_id", "cited_paper_id"]
-TAXONOMY_HEADER = ["subfield_id", "subfield_name", "field_id", "field_name"]
+TAXONOMY_HEADER = [f.name for f in fields(SubfieldInfo)]
 
 
 class IngestError(CitegraphError):
@@ -73,13 +74,17 @@ class FileIngestStats:
     """
 
     rows_read: int = 0
-    emitted: int = 0
     dropped: dict[str, int] = field(default_factory=dict)
     duration_s: float = 0.0
 
     @property
     def n_dropped(self) -> int:
         return sum(self.dropped.values())
+
+    @property
+    def emitted(self) -> int:
+        """Data rows passed on: 0 until a header has been read."""
+        return self.rows_read - 1 - self.n_dropped if self.rows_read else 0
 
 
 @dataclass
@@ -90,31 +95,40 @@ class IngestReport:
         return self.files.setdefault(name, FileIngestStats())
 
 
-def _header_checked_reader(source: IO[bytes], expected_header: list[str]) -> Iterator[list[str]]:
-    """A csv reader over binary `source` whose header row has been read and checked."""
-    reader = _csv_reader(source)
+def _header_checked_reader(source: IO[bytes], expected_header: list[str]):
+    """`_csv_reader(source)` after a header check, which releases `text` if it fails."""
+    text, reader = _csv_reader(source)
     try:
         header = next(reader, None)
     except csv.Error as exc:
+        _release(text)
         raise _malformed(source, exc, 1) from exc
     except UnicodeDecodeError as exc:
+        _release(text)
         raise _malformed(source, exc, reader.line_num) from exc
+    if header is not None and [col.strip() for col in header] == expected_header:
+        return text, reader
+    _release(text)
     if header is None:
         raise IngestError(_named(source, "line 1: missing header row"))
-    if [col.strip() for col in header] != expected_header:
-        raise IngestError(
-            _named(
-                source,
-                f"line 1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
-            )
+    raise IngestError(
+        _named(
+            source,
+            f"line 1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
         )
-    return reader
+    )
 
 
 def _csv_reader(source: IO[bytes], errors: str = "strict"):
-    """A strict RFC 4180 csv reader over binary `source`, UTF-8 with an optional BOM."""
+    """`(text, reader)`: binary `source` as UTF-8 with an optional BOM, read by strict RFC 4180."""
     text = io.TextIOWrapper(source, encoding="utf-8-sig", errors=errors, newline="")
-    return csv.reader(text, strict=True)
+    return text, csv.reader(text, strict=True)
+
+
+def _release(text: io.TextIOWrapper) -> None:
+    """Detach `text` so that dropping it leaves its stream open; a closed stream is left alone."""
+    if not text.closed:
+        text.detach()
 
 
 def _malformed(source: IO, exc: csv.Error | UnicodeDecodeError, line_num: int) -> IngestError:
@@ -152,13 +166,15 @@ def _error_line(source: IO[bytes], exc: csv.Error | UnicodeDecodeError) -> int |
             except UnicodeDecodeError:
                 return line
         return None
-    reader = _csv_reader(source, errors="replace")
+    text, reader = _csv_reader(source, errors="replace")
     start = 1
     try:
         for _ in reader:
             start = reader.line_num + 1
     except csv.Error:
         return start
+    finally:
+        _release(text)
     return None
 
 
@@ -175,10 +191,9 @@ def parse_papers(source: IO, stats: FileIngestStats | None = None) -> Iterator[P
     """Yield `(paper_id, DocType, subfield_id or None)` per data row; duplicates pass through."""
     stats = stats if stats is not None else FileIngestStats()
     start = time.perf_counter()
-    reader = _header_checked_reader(source, PAPERS_HEADER)
+    text, reader = _header_checked_reader(source, PAPERS_HEADER)
     doc_type_of = DocType.from_string
     rows_read = 1
-    emitted = 0
     try:
         for row in reader:
             try:
@@ -187,16 +202,15 @@ def parse_papers(source: IO, stats: FileIngestStats | None = None) -> Iterator[P
                 if not row:
                     continue
                 raise _bad_row(source, reader, f"expected 3 fields, got {len(row)}") from None
-            rows_read += 1
             if not paper_id:
                 raise _bad_row(source, reader, "empty paper_id")
-            emitted += 1
+            rows_read += 1
             yield paper_id, doc_type_of(doc_type), subfield_id or None
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _malformed(source, exc, reader.line_num) from exc
     finally:
+        _release(text)
         stats.rows_read += rows_read
-        stats.emitted += emitted
     stats.duration_s = time.perf_counter() - start
 
 
@@ -204,9 +218,8 @@ def parse_authorships(source: IO, stats: FileIngestStats | None = None) -> Itera
     """Yield `(paper_id, author_id)` per data row; duplicates pass through."""
     stats = stats if stats is not None else FileIngestStats()
     start = time.perf_counter()
-    reader = _header_checked_reader(source, AUTHORSHIPS_HEADER)
+    text, reader = _header_checked_reader(source, AUTHORSHIPS_HEADER)
     rows_read = 1
-    emitted = 0
     try:
         for row in reader:
             try:
@@ -215,16 +228,15 @@ def parse_authorships(source: IO, stats: FileIngestStats | None = None) -> Itera
                 if not row:
                     continue
                 raise _bad_row(source, reader, f"expected 2 fields, got {len(row)}") from None
-            rows_read += 1
             if not paper_id or not author_id:
                 raise _bad_row(source, reader, "empty paper_id or author_id")
-            emitted += 1
+            rows_read += 1
             yield paper_id, author_id
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _malformed(source, exc, reader.line_num) from exc
     finally:
+        _release(text)
         stats.rows_read += rows_read
-        stats.emitted += emitted
     stats.duration_s = time.perf_counter() - start
 
 
@@ -235,9 +247,8 @@ def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterato
     """
     stats = stats if stats is not None else FileIngestStats()
     start = time.perf_counter()
-    reader = _header_checked_reader(source, CITATIONS_HEADER)
+    text, reader = _header_checked_reader(source, CITATIONS_HEADER)
     rows_read = 1
-    emitted = 0
     self_loops = 0
     try:
         for row in reader:
@@ -247,19 +258,18 @@ def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterato
                 if not row:
                     continue
                 raise _bad_row(source, reader, f"expected 2 fields, got {len(row)}") from None
-            rows_read += 1
             if not citing or not cited:
                 raise _bad_row(source, reader, "empty citing_paper_id or cited_paper_id")
+            rows_read += 1
             if citing == cited:
                 self_loops += 1
                 continue
-            emitted += 1
             yield citing, cited
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _malformed(source, exc, reader.line_num) from exc
     finally:
+        _release(text)
         stats.rows_read += rows_read
-        stats.emitted += emitted
         if self_loops:
             stats.dropped["self_loop"] = stats.dropped.get("self_loop", 0) + self_loops
     stats.duration_s = time.perf_counter() - start
@@ -274,7 +284,7 @@ def read_rows(
     """
     stats = stats if stats is not None else FileIngestStats()
     start = time.perf_counter()
-    reader = _header_checked_reader(source, header)
+    text, reader = _header_checked_reader(source, header)
     width = len(header)
     rows_read = 1
     try:
@@ -288,19 +298,18 @@ def read_rows(
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _malformed(source, exc, reader.line_num) from exc
     finally:
+        _release(text)
         stats.rows_read += rows_read
-        stats.emitted += rows_read - 1
     stats.duration_s = time.perf_counter() - start
 
 
 def parse_taxonomy(source: IO[bytes], stats: FileIngestStats | None = None) -> FieldTaxonomy:
     entries = []
-    for line, (subfield_id, subfield_name, field_id, field_name) in read_rows(
-        source, TAXONOMY_HEADER, stats
-    ):
-        if not subfield_id or not field_id:
+    for line, row in read_rows(source, TAXONOMY_HEADER, stats):
+        entry = SubfieldInfo(*row)
+        if not entry.subfield_id or not entry.field_id:
             raise IngestError(_named(source, f"line {line}: empty subfield_id or field_id"))
-        entries.append(SubfieldInfo(subfield_id, subfield_name, field_id, field_name))
+        entries.append(entry)
     return FieldTaxonomy(entries)
 
 
@@ -313,5 +322,5 @@ def write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) ->
 
 
 def write_taxonomy(path: str | Path, taxonomy: FieldTaxonomy) -> None:
-    """Write taxonomy.csv; SubfieldInfo's fields are in TAXONOMY_HEADER order."""
+    """Write taxonomy.csv, one row per SubfieldInfo."""
     write_rows(path, TAXONOMY_HEADER, map(astuple, taxonomy))

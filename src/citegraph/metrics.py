@@ -48,15 +48,17 @@ class UndefinedMetricError(CitegraphError):
 
 @dataclass(frozen=True, slots=True)
 class AuthorMetrics:
+    """One row of metrics.csv: the fields, in order, are its columns."""
+
     author_id: str
+    field_id: str | None
+    subfield_id: str | None
     n_full_papers: int
     citations: int
     h_index: int
     c_over_h2: Fraction
     a50pc: int
     a50: int
-    field_id: str | None
-    subfield_id: str | None
 
 
 def citation_counts(index: CorpusIndex, papers: Iterable[int]) -> list[int]:

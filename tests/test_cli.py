@@ -594,3 +594,47 @@ def test_non_utf8_input_fails_with_single_line_error(tmp_path, corpus_dir, capsy
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {bad}: ")
     assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("failure", ["missing_input", "undefined_metric"])
+def test_failed_run_creates_no_output_directory(corpus_dir, tmp_path, capsys, failure):
+    out = tmp_path / "out"
+    if failure == "missing_input":
+        args = _run_args(corpus_dir, out)
+        args[args.index("--citations") + 1] = str(corpus_dir / "nope.csv")
+    else:  # an eligible author with no citations has no c_over_h2
+        corpus = tmp_path / "uncited"
+        corpus.mkdir()
+        (corpus / "papers.csv").write_text("paper_id,doc_type,subfield_id\np1,article,s101\n")
+        (corpus / "authorships.csv").write_text("paper_id,author_id\np1,a1\n")
+        (corpus / "citations.csv").write_text("citing_paper_id,cited_paper_id\n")
+        (corpus / "taxonomy.csv").write_text(
+            "subfield_id,subfield_name,field_id,field_name\ns101,x,F01,Life Sciences\n"
+        )
+        args = _run_args(corpus, out, ("--min-papers", "0", "--min-citations", "0"))
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_evaluation_csv_bytes(tmp_path):
+    """One row per motif: recall and precision with 6 decimals, and an empty
+    cell where either is undefined (nothing planted, or an empty tail)."""
+    synth_args = list(SYNTH_ARGS)
+    synth_args[synth_args.index("--self-citers") + 1] = "0"
+    synth_args[synth_args.index("--cartels") + 1] = "0"
+    corpus, run, evaluation = tmp_path / "corpus", tmp_path / "run", tmp_path / "evaluation.csv"
+    assert main(synth_args + ["--out", str(corpus)]) == 0
+    assert main(_run_args(corpus, run)) == 0
+    eval_args = ["evaluate", "--truth", str(corpus / "truth.csv"), "--run-dir", str(run)]
+    assert main(eval_args + ["--out", str(evaluation)]) == 0
+    header = b"motif,tail_metric,n_planted,n_detected,recall,tail_size,precision\n"
+    assert evaluation.read_bytes() == header + (
+        b"self_citer,c_over_h2,0,0,,1,0.000000\n"
+        b"cartel_member,c_over_h2,0,0,,1,0.000000\n"
+        b"hyperteam_member,a50,4,0,0.000000,0,\n"
+    )
+    # Two of the four team members in a tail of three: recall 2/4, precision 2/3.
+    (run / "tail_a50.csv").write_text("author_id,value\nb000000,9\nt00m00,9\nt00m01,9\n")
+    assert main(eval_args + ["--out", str(evaluation)]) == 0
+    assert evaluation.read_bytes().endswith(b"\nhyperteam_member,a50,4,2,0.500000,3,0.666667\n")

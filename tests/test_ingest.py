@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 
 import pytest
@@ -12,6 +13,7 @@ from citegraph.ingest import (
     parse_citations,
     parse_papers,
     parse_taxonomy,
+    read_rows,
 )
 
 
@@ -281,3 +283,49 @@ def test_stats_are_recorded_when_parser_is_closed_early():
     rows.close()
     assert (stats.rows_read, stats.emitted, stats.dropped) == (4, 2, {"self_loop": 1})
     assert stats.rows_read == stats.emitted + stats.n_dropped + 1
+
+
+def test_emitted_is_zero_before_a_header_is_read():
+    assert FileIngestStats().emitted == 0
+
+
+_HEADER = b"citing_paper_id,cited_paper_id\n"
+
+#: Each reader, every way it can end: (input bytes, rows to take before closing, or None for all).
+_STREAM_ENDINGS = {
+    "full_read": (_HEADER + b"p1,p2\np3,p4\n", None),
+    "early_close": (_HEADER + b"p1,p2\np3,p4\n", 1),
+    "short_row": (_HEADER + b"p1\n", None),
+    "bad_byte": (_HEADER + b"p\xff1,p2\n", None),
+    "stray_quote": (_HEADER + b'p1,p2\n"p3,p4\n', None),
+    "wrong_header": (b"citing,cited\np1,p2\n", None),
+    "empty_file": (b"", None),
+}
+
+
+@pytest.mark.parametrize(
+    "read",
+    [parse_citations, lambda source: read_rows(source, ["citing_paper_id", "cited_paper_id"])],
+    ids=["parse_citations", "read_rows"],
+)
+@pytest.mark.parametrize("ending", sorted(_STREAM_ENDINGS))
+def test_readers_leave_the_callers_stream_open(read, ending):
+    data, take = _STREAM_ENDINGS[ending]
+    stream = io.BytesIO(data)
+    rows = read(stream)
+    failed = False
+    try:
+        if take is None:
+            list(rows)
+        else:
+            for _ in range(take):
+                next(rows)
+            rows.close()
+    except IngestError:
+        failed = True
+    assert failed == (ending not in ("full_read", "early_close"))
+    del rows
+    gc.collect()  # a text wrapper still attached to the stream would close it here
+    assert not stream.closed
+    stream.seek(0)
+    assert stream.read() == data
