@@ -67,6 +67,10 @@ class RunConfig:
     excluded_fields: frozenset[str] = frozenset()
     a50_threshold: int = 50
 
+    def __post_init__(self) -> None:
+        if self.a50_threshold < 0:
+            raise CitegraphError("a50 threshold must be >= 0")
+
     def tail_specs(self) -> dict[str, stats_mod.TailSpec]:
         """Lower tails for c_over_h2 and a50pc, upper for a50; exclusions apply
         to the two tails that large collaborations would otherwise swamp."""
@@ -167,20 +171,14 @@ def run_pipeline(cfg: RunConfig) -> Path:
     tables: dict[str, tuple[list[str], list[list]]] = {}
     tables["metrics.csv"] = (METRICS_CSV_HEADER, _cells(all_metrics.values(), METRICS_CSV_HEADER))
 
-    # Report files are written even for an empty cohort (header-only), so the
-    # output file set never depends on the data.
-    hist_overflow: dict[str, dict[str, int]] = {}
-    tail_reports: dict[str, stats_mod.TailReport] = {}
-    for metric, spec in specs.items():
-        tail_report = stats_mod.tail_members(all_metrics, spec) if all_metrics else None
-        members = sorted(tail_report.members) if tail_report else []
-        allocation = tail_report.field_allocation if tail_report else ()
-        flagged = stats_mod.enrichment_flags(tail_report) if tail_report else set()
-        if tail_report:
-            tail_reports[metric] = tail_report
+    # An empty tail cohort is reported like any other, as a cohort of size 0,
+    # so the output file set never depends on the data.
+    tail_reports = {m: stats_mod.tail_members(all_metrics, spec) for m, spec in specs.items()}
+    for metric, tail_report in tail_reports.items():
+        flagged = stats_mod.enrichment_flags(tail_report)
         tables[f"tail_{metric}.csv"] = (
             TAIL_CSV_HEADER,
-            [[a, _cell(getattr(all_metrics[a], metric))] for a in members],
+            [[a, _cell(getattr(all_metrics[a], metric))] for a in sorted(tail_report.members)],
         )
         tables[f"allocation_{metric}.csv"] = (
             [
@@ -204,10 +202,11 @@ def run_pipeline(cfg: RunConfig) -> Path:
                     f"{alloc.fold:.4f}",
                     str(alloc.field_id in flagged).lower(),
                 ]
-                for alloc in allocation
+                for alloc in tail_report.field_allocation
             ],
         )
 
+    hist_overflow: dict[str, dict[str, int]] = {}
     for metric, (lo, hi, width) in HIST_SPECS.items():
         hist = stats_mod.histogram(
             [getattr(m, metric) for m in all_metrics.values()], width, lo, hi
@@ -219,28 +218,16 @@ def run_pipeline(cfg: RunConfig) -> Path:
         )
 
     cooccur_rows = []
-    if all_metrics:
-        for name_a, name_b in COOCCURRENCE_PAIRS:
-            table = stats_mod.cooccurrence(all_metrics, specs[name_a], specs[name_b])
-            cooccur_rows.append(
-                [
-                    name_a,
-                    name_b,
-                    table.a,
-                    table.b,
-                    table.c,
-                    table.d,
-                    "" if table.odds_ratio is None else str(stats_mod.round_sig2(table.odds_ratio)),
-                    "" if table.ci_low is None else str(stats_mod.round_sig2(table.ci_low)),
-                    "" if table.ci_high is None else str(stats_mod.round_sig2(table.ci_high)),
-                    ""
-                    if table.odds_ratio is None
-                    else f"{table.odds_ratio.numerator}/{table.odds_ratio.denominator}",
-                    "" if table.ci_low is None else f"{table.ci_low:.10g}",
-                    "" if table.ci_high is None else f"{table.ci_high:.10g}",
-                    str(table.degenerate).lower(),
-                ]
-            )
+    for name_a, name_b in COOCCURRENCE_PAIRS:
+        table = stats_mod.cooccurrence(all_metrics, specs[name_a], specs[name_b])
+        ratio, ci = table.odds_ratio, (table.ci_low, table.ci_high)
+        cooccur_rows.append(
+            [name_a, name_b, table.a, table.b, table.c, table.d]
+            + ["" if v is None else str(stats_mod.round_sig2(v)) for v in (ratio, *ci)]
+            + ["" if ratio is None else f"{ratio.numerator}/{ratio.denominator}"]
+            + ["" if v is None else f"{v:.10g}" for v in ci]
+            + [str(table.degenerate).lower()]
+        )
     tables["cooccur.csv"] = (
         [
             "metric_a",

@@ -60,18 +60,18 @@ class FieldAllocation:
 
     @property
     def fold(self) -> float:
-        if self.cohort_share == 0:
-            return math.inf if self.tail_share > 0 else 0.0
         return self.tail_share / self.cohort_share
 
 
 @dataclass(frozen=True)
 class TailReport:
+    """One tail on its cohort; a cohort of size 0 has None statistics and no rows."""
+
     cohort_size: int
-    threshold: Fraction | int
+    threshold: Fraction | int | None
     members: frozenset[str]
-    median: Fraction | int
-    iqr: tuple[Fraction | int, Fraction | int]
+    median: Fraction | int | None
+    iqr: tuple[Fraction | int | None, Fraction | int | None]
     field_allocation: tuple[FieldAllocation, ...]
 
 
@@ -102,11 +102,19 @@ def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailRe
 
     The threshold and summary statistics are computed on the cohort after
     removing authors in excluded fields. Fold is a field's tail share divided
-    by its cohort share.
+    by its cohort share. A cohort left empty, by the exclusions or because no
+    author is eligible, gives a report of size 0 with no statistics.
     """
     cohort = {a: m for a, m in metrics.items() if m.field_id not in spec.excluded_fields}
     if not cohort:
-        raise StatsError("cohort is empty after field exclusion")
+        return TailReport(
+            cohort_size=0,
+            threshold=None,
+            members=frozenset(),
+            median=None,
+            iqr=(None, None),
+            field_allocation=(),
+        )
     values = {a: getattr(m, spec.metric) for a, m in cohort.items()}
     ordered = sorted(values.values())
 

@@ -75,6 +75,7 @@ LABEL_BACKGROUND = "background"
 LABEL_SELF_CITER = "self_citer"
 LABEL_CARTEL = "cartel_member"
 LABEL_HYPERTEAM = "hyperteam_member"
+LABELS = (LABEL_BACKGROUND, LABEL_SELF_CITER, LABEL_CARTEL, LABEL_HYPERTEAM)
 
 #: Which tail is expected to catch each planted behavior.
 MOTIF_TAILS = {
@@ -518,7 +519,7 @@ def write_truth(path: str | Path, truth: GroundTruth) -> None:
 
 
 def read_truth(path: str | Path) -> GroundTruth:
-    """Read truth.csv through ingest's checked reader; author ids must be unique."""
+    """Read truth.csv through ingest's checked reader; ids unique, labels in `LABELS`."""
     labels: dict[str, tuple[str, str]] = {}
     first_line: dict[str, int] = {}
     with open(path, "rb") as fh:
@@ -528,6 +529,8 @@ def read_truth(path: str | Path) -> GroundTruth:
                     f"{path}: line {line}: duplicate author_id {author_id!r} "
                     f"(first on line {first_line[author_id]})"
                 )
+            if label not in LABELS:
+                raise SynthConfigError(f"{path}: line {line}: unknown label {label!r}")
             first_line[author_id] = line
             labels[author_id] = (label, group_id)
     return GroundTruth(labels=labels)

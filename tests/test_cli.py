@@ -190,6 +190,18 @@ def test_evaluate_duplicate_truth_author_fails_with_single_line_error(run_dir, t
     assert err == f"error: {truth}: line 3: duplicate author_id 'h000000' (first on line 2)\n"
 
 
+def test_evaluate_unknown_truth_label_fails_with_single_line_error(run_dir, tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text(
+        "author_id,label,group_id\nh000000,background,\nh000001,self-citer,h000001\n",
+        encoding="utf-8",
+    )
+    rc = main(["evaluate", "--truth", str(truth), "--run-dir", str(run_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {truth}: line 3: unknown label 'self-citer'\n"
+
+
 def test_evaluate_non_utf8_truth_fails_with_single_line_error(run_dir, tmp_path, capsys):
     truth = tmp_path / "truth.csv"
     truth.write_bytes(b"author_id,label,group_id\nh0\xff,self_citer,g1\n")
@@ -315,9 +327,8 @@ def test_empty_cohort_still_writes_full_report_set(tmp_path):
     assert manifest["cohort"]["n_eligible"] == 0
 
 
-def test_failed_reporting_leaves_no_report_files(tmp_path, capsys):
-    """Excluding the one field every cohort author is in fails the a50pc tail;
-    no report file may be written before that failure."""
+def _one_field_corpus(tmp_path: Path) -> Path:
+    """Three single-paper authors in field F01; a1 and a2 are cited, a3 is not."""
     corpus = tmp_path / "one_field"
     corpus.mkdir()
     (corpus / "papers.csv").write_text(
@@ -330,12 +341,91 @@ def test_failed_reporting_leaves_no_report_files(tmp_path, capsys):
     (corpus / "taxonomy.csv").write_text(
         "subfield_id,subfield_name,field_id,field_name\ns101,x,F01,Life Sciences\n"
     )
+    return corpus
+
+
+ONE_FIELD_EXCLUDED = ("--min-papers", "0", "--min-citations", "1", "--exclude-field", "F01")
+
+ALLOCATION_HEADER = (
+    "field_id,field_name,cohort_count,cohort_share,tail_count,tail_share,fold,flagged\n"
+)
+
+
+def test_exclusion_that_empties_a_tail_writes_header_only_files(tmp_path, capsys):
+    """Excluding the one field both cohort authors (a1, a2) are in leaves the
+    a50pc and a50 tails a cohort of size 0: the run succeeds and says so."""
     out = tmp_path / "out"
-    extra = ("--min-papers", "0", "--min-citations", "1", "--exclude-field", "F01")
-    assert main(_run_args(corpus, out, extra)) == 2
-    assert capsys.readouterr().err == "error: cohort is empty after field exclusion\n"
-    assert sorted(out.glob("*.csv")) == []
-    assert not (out / "manifest.json").exists()
+    assert main(_run_args(_one_field_corpus(tmp_path), out, ONE_FIELD_EXCLUDED)) == 0
+    assert capsys.readouterr().err == ""
+    tails = json.loads((out / "manifest.json").read_text())["tails"]
+    for metric in ("a50pc", "a50"):
+        assert (out / f"tail_{metric}.csv").read_text() == "author_id,value\n"
+        assert (out / f"allocation_{metric}.csv").read_text() == ALLOCATION_HEADER
+        assert tails[metric] == {
+            "cohort_size": 0, "members": 0, "threshold": "", "median": "", "iqr": ["", ""],
+        }
+    assert tails["c_over_h2"]["cohort_size"] == 2
+    with open(out / "allocation_c_over_h2.csv", newline="") as fh:
+        assert [r["cohort_count"] for r in csv.DictReader(fh)] == ["2"]
+
+
+@pytest.mark.parametrize("case", ["synth", "no_eligible_author", "exclusion_empties_tails"])
+def test_output_shape_does_not_depend_on_the_data(corpus_dir, tmp_path, case):
+    """Every run writes the same 13 files, three manifest tails and three
+    cooccur.csv rows; a tail's files are header-only exactly when its cohort
+    is empty, and a pair whose shared cohort is empty has all-zero cells."""
+    out = tmp_path / "out"
+    if case == "synth":
+        args, expected_sizes = _run_args(corpus_dir, out), None
+    elif case == "no_eligible_author":
+        args = _run_args(corpus_dir, out, ("--min-citations", str(10**9)))
+        expected_sizes = {"c_over_h2": 0, "a50pc": 0, "a50": 0}
+    else:
+        args = _run_args(_one_field_corpus(tmp_path), out, ONE_FIELD_EXCLUDED)
+        expected_sizes = {"c_over_h2": 2, "a50pc": 0, "a50": 0}
+    assert main(args) == 0
+
+    expected_files = {"metrics.csv", "cooccur.csv", "manifest.json", "timings.json"}
+    for metric in ("c_over_h2", "a50pc", "a50"):
+        expected_files |= {f"tail_{metric}.csv", f"allocation_{metric}.csv", f"hist_{metric}.csv"}
+    assert len(expected_files) == 13
+    assert {p.name for p in out.iterdir()} == expected_files
+
+    tails = json.loads((out / "manifest.json").read_text())["tails"]
+    assert sorted(tails) == ["a50", "a50pc", "c_over_h2"]
+    sizes = {metric: tail["cohort_size"] for metric, tail in tails.items()}
+    if expected_sizes is None:
+        assert min(sizes.values()) > 0
+    else:
+        assert sizes == expected_sizes
+    for metric, tail in tails.items():
+        with open(out / f"tail_{metric}.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == tail["members"]
+        with open(out / f"allocation_{metric}.csv", newline="") as fh:
+            assert (len(list(csv.DictReader(fh))) == 0) == (tail["cohort_size"] == 0)
+        if tail["cohort_size"] == 0:
+            assert tail["members"] == 0
+            assert [tail["threshold"], tail["median"], *tail["iqr"]] == ["", "", "", ""]
+
+    with open(out / "cooccur.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["metric_a"], r["metric_b"]) for r in rows] == [
+        ("c_over_h2", "a50pc"), ("c_over_h2", "a50"), ("a50pc", "a50"),
+    ]
+    for r in rows:
+        # the a50pc and a50 cohorts are one subset of the c_over_h2 cohort
+        shared = min(sizes[r["metric_a"]], sizes[r["metric_b"]])
+        assert sum(int(r[cell]) for cell in "abcd") == shared
+        if shared == 0:
+            assert r["degenerate"] == "true"
+            assert [r[k] for k in rows[0] if k.startswith(("odds", "ci_"))] == [""] * 6
+
+
+def test_negative_a50_threshold_fails_before_any_work(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_run_args(corpus_dir, out, ("--a50-threshold", "-1"))) == 2
+    assert capsys.readouterr().err == "error: a50 threshold must be >= 0\n"
+    assert not out.exists()
 
 
 def test_outputs_identical_across_separate_processes(tmp_path):

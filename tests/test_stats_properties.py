@@ -11,12 +11,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citegraph.metrics import AuthorMetrics
-from citegraph.stats import METRIC_NAMES, StatsError, TailSpec, cooccurrence, tail_members
+from citegraph.stats import (
+    METRIC_NAMES,
+    ContingencyTable,
+    TailReport,
+    TailSpec,
+    cooccurrence,
+    tail_members,
+)
 
 FIELDS = ("F1", "F2", "F3")
 
@@ -76,11 +82,17 @@ def _members(cohort: dict[str, AuthorMetrics], spec: TailSpec) -> set[str]:
 @given(cohorts(), specs())
 def test_tail_members_lie_strictly_beyond_the_nearest_rank_threshold(metrics, spec):
     cohort = {a: m for a, m in metrics.items() if m.field_id not in spec.excluded_fields}
-    if not cohort:
-        with pytest.raises(StatsError):
-            tail_members(metrics, spec)
-        return
     report = tail_members(metrics, spec)
+    if not cohort:
+        assert report == TailReport(
+            cohort_size=0,
+            threshold=None,
+            members=frozenset(),
+            median=None,
+            iqr=(None, None),
+            field_allocation=(),
+        )
+        return
     p = Fraction(spec.percentile)
     values = [getattr(m, spec.metric) for m in cohort.values()]
     rank_p = p if spec.tail == "lower" else 100 - p
@@ -100,11 +112,12 @@ def test_tail_members_lie_strictly_beyond_the_nearest_rank_threshold(metrics, sp
 def test_cooccurrence_cells_count_joint_membership_on_the_shared_cohort(metrics, spec_a, spec_b):
     excluded = spec_a.excluded_fields | spec_b.excluded_fields
     shared = {a: m for a, m in metrics.items() if m.field_id not in excluded}
-    if not shared:
-        with pytest.raises(StatsError):
-            cooccurrence(metrics, spec_a, spec_b)
-        return
     table = cooccurrence(metrics, spec_a, spec_b)
+    if not shared:
+        assert table == ContingencyTable(
+            a=0, b=0, c=0, d=0, odds_ratio=None, ci_low=None, ci_high=None, degenerate=True
+        )
+        return
     in_a, in_b = _members(shared, spec_a), _members(shared, spec_b)
     expected = (
         len(in_a & in_b),
