@@ -20,6 +20,7 @@ from .ingest import (
 )
 from .metrics import (
     AuthorMetrics,
+    CohortAuthor,
     UndefinedMetricError,
     a50_coauthors,
     a50pc_greedy,
@@ -47,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuthorMetrics",
     "CitegraphError",
+    "CohortAuthor",
     "ContingencyTable",
     "CorpusError",
     "CorpusIndex",

@@ -389,13 +389,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     members: dict[str, frozenset[str]] = {}
     for metric in stats_mod.METRIC_NAMES:
         tail_path = run_dir / f"tail_{metric}.csv"
-        if not tail_path.is_file():
-            continue
+        _require_file(str(tail_path), "tail")
         with open(tail_path, "rb") as fh:
             rows = ingest_mod.read_rows(fh, TAIL_CSV_HEADER)
             members[metric] = frozenset(author_id for _, (author_id, _) in rows)
-    if not members:
-        raise CitegraphError(f"no tail_<metric>.csv files found in {run_dir}")
     results = synth_mod.evaluate_detection(truth, members)
     for r in results:
         recall = "n/a" if r.recall is None else f"{r.recall:.4f}"

@@ -9,7 +9,8 @@ in each tied field and finally by a deterministic draw keyed on
 
 eligible_authors reads each author's full papers once, votes the field of
 each author passing both checks, and returns the cohort that
-metrics.compute_all_metrics takes.
+metrics.compute_all_metrics takes: a metrics.CohortAuthor record per author,
+carrying the papers and citation counts it read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 
 from .corpus import CorpusIndex
 from .errors import CitegraphError
-from .metrics import citation_counts
+from .metrics import CohortAuthor, citation_counts
 
 
 class CohortConfigError(CitegraphError):
@@ -103,13 +104,13 @@ def assign_fields(
     this; it stays because the benchmark's traced run (bench/child.py) wraps
     it."""
     voted = eligible_authors(index, EligibilityConfig(min_full_papers=0, min_citations=0, seed=seed))
-    return {a: voted[a] for a in authors if a in voted}
+    return {a: voted[a].field for a in authors if a in voted}
 
 
-def eligible_authors(index: CorpusIndex, cfg: EligibilityConfig) -> dict[str, tuple[str, str]]:
-    """(field_id, subfield_id) of every author passing the paper-count, citation,
+def eligible_authors(index: CorpusIndex, cfg: EligibilityConfig) -> dict[str, CohortAuthor]:
+    """The CohortAuthor record of every author passing the paper-count, citation,
     and field requirements; each candidate's field is voted once."""
-    selected: dict[str, tuple[str, str]] = {}
+    selected: dict[str, CohortAuthor] = {}
     for author, author_id in enumerate(index.author_ids):
         full = index.full_papers(author)
         if len(full) <= cfg.min_full_papers:
@@ -119,5 +120,5 @@ def eligible_authors(index: CorpusIndex, cfg: EligibilityConfig) -> dict[str, tu
             continue
         assigned = _vote_field(index, author_id, full, counts, cfg.seed)
         if assigned is not None:
-            selected[author_id] = assigned
+            selected[author_id] = CohortAuthor(author, full, counts, assigned)
     return selected

@@ -13,8 +13,8 @@ A citing paper that references k of the author's full papers contributes k
 citations. Citing papers may be of any document type; only full papers of
 the examined author receive countable citations.
 
-compute_author_metrics is the one per-author kernel: it reads the author's
-full papers once, by int id, and hands that list to every indicator.
+compute_author_metrics is the one per-author kernel: it takes the
+CohortAuthor record eligibility built and hands its lists to every indicator.
 
 a50pc and a50 work over teams, the distinct author tuples the index numbers,
 rather than over every (paper, author) pair: papers of the same team are
@@ -59,6 +59,18 @@ class AuthorMetrics:
     c_over_h2: Fraction
     a50pc: int
     a50: int
+
+
+@dataclass(frozen=True, slots=True)
+class CohortAuthor:
+    """One cohort author as eligibility read them: their int id, their full
+    papers (int ids, increasing), the citation count of each, and their
+    voted (field_id, subfield_id)."""
+
+    author: int
+    full: list[int]
+    counts: list[int]
+    field: tuple[str, str]
 
 
 def citation_counts(index: CorpusIndex, papers: Iterable[int]) -> list[int]:
@@ -242,16 +254,16 @@ def a50_coauthors(index: CorpusIndex, author: int, full: list[int], threshold: i
 
 
 def compute_author_metrics(
-    index: CorpusIndex, author: int, field: tuple[str, str], *, a50_threshold: int = 50
+    index: CorpusIndex, cohort_author: CohortAuthor, *, a50_threshold: int = 50
 ) -> AuthorMetrics:
-    """Every indicator of author `author` (an int id) from one read of their
-    full papers; `field` is their (field_id, subfield_id). An
+    """Every indicator of one cohort author, from the full papers and citation
+    counts in their record; neither is read again, nor changed. An
     UndefinedMetricError from any indicator is re-raised naming the author."""
+    author = cohort_author.author
     author_id = index.author_ids[author]
-    full = index.full_papers(author)
-    counts = citation_counts(index, full)
-    citations = sum(counts)
-    h = h_index(counts)
+    full = cohort_author.full
+    citations = sum(cohort_author.counts)
+    h = h_index(cohort_author.counts)
     try:
         return AuthorMetrics(
             author_id=author_id,
@@ -261,23 +273,23 @@ def compute_author_metrics(
             c_over_h2=c_over_h2(citations, h),
             a50pc=a50pc_greedy(index, full),
             a50=a50_coauthors(index, author, full, a50_threshold),
-            field_id=field[0],
-            subfield_id=field[1],
+            field_id=cohort_author.field[0],
+            subfield_id=cohort_author.field[1],
         )
     except UndefinedMetricError as exc:
         raise UndefinedMetricError(f"author {author_id!r}: {exc}") from exc
 
 
 def compute_all_metrics(
-    index: CorpusIndex, cohort: Mapping[str, tuple[str, str]], *, a50_threshold: int = 50
+    index: CorpusIndex, cohort: Mapping[str, CohortAuthor], *, a50_threshold: int = 50
 ) -> dict[str, AuthorMetrics]:
     """Metrics for every cohort author, keyed and computed in sorted author order.
 
-    `cohort` maps author ids to (field_id, subfield_id), as eligible_authors
+    `cohort` maps author ids to CohortAuthor records, as eligible_authors
     returns it. The GIL serialises this pure-Python work, so it runs on one thread: a
     thread pool here measured slower than the plain loop.
     """
     return {
-        a: compute_author_metrics(index, index.author_index(a), cohort[a], a50_threshold=a50_threshold)
+        a: compute_author_metrics(index, cohort[a], a50_threshold=a50_threshold)
         for a in sorted(cohort)
     }

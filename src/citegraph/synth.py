@@ -592,15 +592,14 @@ def evaluate_detection(
 ) -> tuple[DetectionResult, ...]:
     """Recall and precision of each planted behavior in its designated tail.
 
+    `tails` maps each metric of MOTIF_TAILS to its tail's members.
     recall is the fraction of planted authors found inside the tail, None
     when nothing was planted. precision is the fraction of tail members that
     carry the motif label, None for an empty tail.
     """
     results = []
     for motif, metric in MOTIF_TAILS.items():
-        members = tails.get(metric)
-        if members is None:
-            continue
+        members = tails[metric]
         planted = truth.authors_with(motif)
         detected = len(planted & members)
         results.append(

@@ -10,7 +10,7 @@ from citegraph.corpus import (
     SubfieldInfo,
     build_index,
 )
-from citegraph.metrics import a50_coauthors, shared_coauthor_counts
+from citegraph.metrics import CohortAuthor, a50_coauthors, citation_counts, shared_coauthor_counts
 
 TAXONOMY_ROWS = [
     ("102", "nuclear & particle physics", "F18", "Physics & Astronomy"),
@@ -90,9 +90,16 @@ def coauthor_counts(index: CorpusIndex, author_id: str) -> dict[str, int]:
     return {index.author_ids[other]: n for other, n in counts.items()}
 
 
-def no_fields(authors) -> dict[str, tuple[None, None]]:
-    """A compute_all_metrics cohort of `authors`, none of them assigned a field."""
-    return dict.fromkeys(authors, (None, None))
+def no_fields(index: CorpusIndex, authors) -> dict[str, CohortAuthor]:
+    """A compute_all_metrics cohort of `authors`, authors of `index`, none of
+    them assigned a field."""
+    cohort = {}
+    for author_id in authors:
+        full = full_of(index, author_id)
+        cohort[author_id] = CohortAuthor(
+            index.author_index(author_id), full, citation_counts(index, full), (None, None)
+        )
+    return cohort
 
 
 def random_corpus(rng: random.Random, max_authors: int = 50, max_edges: int = 300) -> CorpusIndex:

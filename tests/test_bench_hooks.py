@@ -27,7 +27,9 @@ from citegraph.cli import main
 from citegraph.synth import SynthConfig, generate, write_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
-INDICATORS = ("citation_counts", "h_index", "c_over_h2", "a50pc_greedy", "a50_coauthors")
+# citation_counts is not among them: eligibility counts each author's citations
+# once and hands the counts to the kernel.
+INDICATORS = ("h_index", "c_over_h2", "a50pc_greedy", "a50_coauthors")
 
 
 def _child_env() -> dict[str, str]:

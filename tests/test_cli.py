@@ -226,6 +226,31 @@ def test_evaluate_non_utf8_tail_file_fails_with_single_line_error(
     assert err == f"error: {tail}: line 2: byte 0xff is not valid UTF-8\n"
 
 
+def test_evaluate_missing_tail_file_fails_with_single_line_error(
+    corpus_dir, run_dir, tmp_path, capsys
+):
+    bad_run = tmp_path / "run"
+    bad_run.mkdir()
+    for path in run_dir.glob("tail_*.csv"):
+        (bad_run / path.name).write_bytes(path.read_bytes())
+    tail = bad_run / "tail_a50.csv"
+    tail.unlink()
+    eval_csv = tmp_path / "evaluation.csv"
+    rc = main(
+        [
+            "evaluate",
+            "--truth", str(corpus_dir / "truth.csv"),
+            "--run-dir", str(bad_run),
+            "--out", str(eval_csv),
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tail file not found: {tail}\n"
+    assert captured.out == ""
+    assert not eval_csv.exists()
+
+
 @pytest.mark.parametrize(
     "name, header, row",
     [
@@ -548,20 +573,28 @@ def test_run_votes_each_candidate_field_once(corpus_dir, tmp_path, monkeypatch):
     assert sorted(voted) == sorted(candidates)
 
 
-def test_run_reads_each_authors_full_papers_once_per_stage(corpus_dir, tmp_path, monkeypatch):
-    """Eligibility reads every author's full papers once, the metrics kernel
-    every cohort author's once, and nothing else reads them."""
+def test_run_reads_each_authors_full_papers_once_per_run(corpus_dir, tmp_path, monkeypatch):
+    """Eligibility reads every author's full papers once and hands the cohort's
+    to the metrics kernel; nothing else reads them, and no author id is looked
+    up by bisection."""
     from citegraph import cli
     from citegraph.corpus import CorpusIndex
 
     calls = []
+    lookups = []
     full_papers = CorpusIndex.full_papers
+    author_index = CorpusIndex.author_index
 
     def counting_full_papers(self, author):
         calls.append(author)
         return full_papers(self, author)
 
+    def counting_author_index(self, author_id):
+        lookups.append(author_id)
+        return author_index(self, author_id)
+
     monkeypatch.setattr(CorpusIndex, "full_papers", counting_full_papers)
+    monkeypatch.setattr(CorpusIndex, "author_index", counting_author_index)
     cfg = cli.RunConfig(
         papers_path=str(corpus_dir / "papers.csv"),
         authorships_path=str(corpus_dir / "authorships.csv"),
@@ -574,7 +607,8 @@ def test_run_reads_each_authors_full_papers_once_per_stage(corpus_dir, tmp_path,
     n_authors = manifest["index"]["n_authors"]
     n_cohort = manifest["cohort"]["n_eligible"]
     assert n_cohort > 100
-    assert len(calls) == n_authors + n_cohort
+    assert len(calls) == n_authors
+    assert lookups == []
 
 
 def test_ingest_file_durations_are_disjoint(run_dir):

@@ -85,7 +85,8 @@ def voted_field(idx, author_id, seed):
     """The field eligible_authors votes for `author_id` with no paper or
     citation threshold, or None when the author is not in the cohort."""
     cfg = EligibilityConfig(min_full_papers=0, min_citations=0, seed=seed)
-    return eligible_authors(idx, cfg).get(author_id)
+    voted = eligible_authors(idx, cfg).get(author_id)
+    return None if voted is None else voted.field
 
 
 def test_assign_field_majority():

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from citegraph import metrics as metrics_mod
+from citegraph.cohort import EligibilityConfig, eligible_authors
+from citegraph.corpus import CorpusIndex
 from citegraph.metrics import (
     UndefinedMetricError,
     a50pc_greedy,
@@ -13,6 +16,7 @@ from citegraph.metrics import (
     c_over_h2,
     citation_counts,
     compute_all_metrics,
+    compute_author_metrics,
     format_2dp,
     h_index,
 )
@@ -274,8 +278,8 @@ def test_compute_all_metrics_empty_cohort():
 def test_compute_all_metrics_order_and_thread_invariance():
     idx = _single_contributor_index()
     cohort = ["E"]
-    m1 = compute_all_metrics(idx, no_fields(cohort))
-    m2 = compute_all_metrics(idx, no_fields(reversed(cohort)))
+    m1 = compute_all_metrics(idx, no_fields(idx, cohort))
+    m2 = compute_all_metrics(idx, no_fields(idx, reversed(cohort)))
     assert m1 == m2
     assert m1["E"].citations == 2
     assert m1["E"].h_index == 1
@@ -314,7 +318,7 @@ def test_compute_all_metrics_composes_per_op_values():
     edges += [("P1", "g1"), ("P1", "g2"), ("P2", "g1"), ("P3", "g2")]
     idx = make_index(papers, ships, edges)
 
-    metrics = compute_all_metrics(idx, no_fields({"E", "F", "G"}))
+    metrics = compute_all_metrics(idx, no_fields(idx, {"E", "F", "G"}))
     assert metrics["E"].a50pc == 1 and metrics["E"].citations == 2 and metrics["E"].h_index == 1
     assert metrics["F"].a50pc == 5 and metrics["F"].citations == 10
     assert metrics["G"].a50pc == 1 and metrics["G"].citations == 4
@@ -334,7 +338,7 @@ def test_compute_all_metrics_invariants_on_random_corpora():
             if any(views.citers_of.get(p) for p in views.papers_of[a])
         ][:5]
         try:
-            metrics = compute_all_metrics(idx, no_fields(cohort))
+            metrics = compute_all_metrics(idx, no_fields(idx, cohort))
         except UndefinedMetricError:
             continue
         for m in metrics.values():
@@ -346,3 +350,40 @@ def test_compute_all_metrics_invariants_on_random_corpora():
             assert m.a50 >= 0
             checked += 1
     assert checked > 50
+
+
+def test_eligibility_hands_the_kernel_its_reads_on_random_corpora(monkeypatch):
+    """Each CohortAuthor carries what a fresh read returns; the kernel reads
+    neither list again, changes neither, and its h_index is the definitional one."""
+    def fresh(idx, record):
+        full = idx.full_papers(record.author)
+        return full, citation_counts(idx, full)
+
+    def forbidden(*args):
+        raise AssertionError("the metrics kernel read an author's papers or counts")
+
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        idx = random_corpus(rng)
+        cohort = eligible_authors(idx, EligibilityConfig(min_full_papers=0, min_citations=0))
+        for record in cohort.values():
+            assert (record.full, record.counts) == fresh(idx, record)
+        defined = {}
+        with monkeypatch.context() as patched:
+            patched.setattr(CorpusIndex, "full_papers", forbidden)
+            patched.setattr(metrics_mod, "citation_counts", forbidden)
+            for a, record in cohort.items():
+                try:
+                    defined[a] = compute_author_metrics(idx, record)
+                except UndefinedMetricError:
+                    pass
+            metrics = compute_all_metrics(idx, {a: cohort[a] for a in defined})
+        assert metrics == defined and list(metrics) == sorted(defined)
+        for record in cohort.values():
+            assert (record.full, record.counts) == fresh(idx, record)
+        for a, m in metrics.items():
+            assert m.h_index == brute_force_h(cohort[a].counts)
+            assert m.citations == sum(cohort[a].counts)
+            checked += 1
+    assert checked > 100
