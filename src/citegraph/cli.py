@@ -45,6 +45,9 @@ METRICS_CSV_HEADER = [f.name for f in fields(metrics_mod.AuthorMetrics)]
 
 TAIL_CSV_HEADER = ["author_id", "value"]
 
+#: The four input files by role: `--<role>` fills `RunConfig.<role>_path`.
+INPUT_ROLES = ("papers", "authorships", "citations", "taxonomy")
+
 COOCCURRENCE_PAIRS = (("c_over_h2", "a50pc"), ("c_over_h2", "a50"), ("a50pc", "a50"))
 
 #: Histogram display range and bin width, (lo, hi, width), per indicator.
@@ -57,6 +60,8 @@ HIST_SPECS: Mapping[str, tuple[Fraction, Fraction, Fraction]] = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's inputs and settings; each field's default is its flag's default."""
+
     papers_path: str
     authorships_path: str
     citations_path: str
@@ -65,9 +70,10 @@ class RunConfig:
     eligibility: cohort_mod.EligibilityConfig = cohort_mod.EligibilityConfig()
     percentile: Fraction = Fraction(1)
     excluded_fields: frozenset[str] = frozenset()
-    a50_threshold: int = 50
+    a50_threshold: int = metrics_mod.A50_THRESHOLD
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "excluded_fields", frozenset(self.excluded_fields))
         if self.a50_threshold < 0:
             raise CitegraphError("a50 threshold must be >= 0")
 
@@ -105,13 +111,8 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 
 
 def _parse_inputs(cfg: RunConfig, report: ingest_mod.IngestReport) -> CorpusIndex:
-    for role, path in (
-        ("papers", cfg.papers_path),
-        ("authorships", cfg.authorships_path),
-        ("citations", cfg.citations_path),
-        ("taxonomy", cfg.taxonomy_path),
-    ):
-        _require_file(path, role)
+    for role in INPUT_ROLES:
+        _require_file(getattr(cfg, f"{role}_path"), role)
 
     with open(cfg.taxonomy_path, "rb") as fh:
         taxonomy = ingest_mod.parse_taxonomy(fh, report.stats_for("taxonomy"))
@@ -126,6 +127,20 @@ def _parse_inputs(cfg: RunConfig, report: ingest_mod.IngestReport) -> CorpusInde
             ingest_mod.parse_citations(fc, report.stats_for("citations")),
             taxonomy,
         )
+
+
+def _data_quality(index: CorpusIndex) -> dict[str, int]:
+    """Counts of input that is kept but left out of some computation.
+
+    A paper whose subfield_id is not in the taxonomy counts toward its
+    authors' papers and citations but is left out of their field vote.
+    """
+    lookup = index.taxonomy.lookup
+    unknown = {s for s in set(index.subfields) if s is not None and lookup(s) is None}
+    return {
+        "papers_with_unknown_subfield": sum(map(unknown.__contains__, index.subfields)),
+        "unknown_subfield_ids": len(unknown),
+    }
 
 
 def _vm_hwm_mb() -> float | None:
@@ -257,10 +272,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     manifest = {
         "schema": "citegraph-run-manifest@1",
         "config": {
-            "papers": cfg.papers_path,
-            "authorships": cfg.authorships_path,
-            "citations": cfg.citations_path,
-            "taxonomy": cfg.taxonomy_path,
+            **{role: getattr(cfg, f"{role}_path") for role in INPUT_ROLES},
             "min_full_papers": cfg.eligibility.min_full_papers,
             "min_citations": cfg.eligibility.min_citations,
             "seed": cfg.eligibility.seed,
@@ -289,6 +301,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
             "dropped_unknown_authorships": index.dropped_unknown_authorships,
         },
         "cohort": {"n_eligible": len(all_metrics)},
+        "data_quality": _data_quality(index),
         "tails": {
             metric: {
                 "threshold": _cell(rep.threshold),
@@ -317,60 +330,35 @@ def run_pipeline(cfg: RunConfig) -> Path:
     return out
 
 
+def _record(record_type, args: argparse.Namespace, **given):
+    """`record_type` from `given` and the parsed flags named after its fields;
+    a flag left out is absent from `args`, so its field keeps its default."""
+    names = {f.name for f in fields(record_type)}
+    return record_type(**{k: v for k, v in vars(args).items() if k in names}, **given)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        papers_path=args.papers,
-        authorships_path=args.authorships,
-        citations_path=args.citations,
-        taxonomy_path=args.taxonomy,
-        out_dir=args.out,
-        eligibility=cohort_mod.EligibilityConfig(
-            min_full_papers=args.min_papers,
-            min_citations=args.min_citations,
-            seed=args.seed,
-        ),
-        percentile=args.pct,
-        excluded_fields=frozenset(args.exclude_field or ()),
-        a50_threshold=args.a50_threshold,
-    )
+    cfg = _record(RunConfig, args, eligibility=_record(cohort_mod.EligibilityConfig, args))
     out = run_pipeline(cfg)
     print(f"run complete: {out}")
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = synth_mod.SynthConfig(
-        seed=args.seed,
-        n_background_authors=args.background,
-        established_fraction=args.established_fraction,
-        n_self_citers=args.self_citers,
-        n_cartels=args.cartels,
-        cartel_size=args.cartel_size,
-        n_hyperteams=args.hyperteams,
-        team_size=args.team_size,
-        joint_papers=args.joint_papers,
-    )
-    corpus = synth_mod.generate(cfg)
+    corpus = synth_mod.generate(_record(synth_mod.SynthConfig, args))
     paths = synth_mod.write_corpus(corpus, args.out)
     print(
         f"synth complete: {corpus.n_papers} papers, "
         f"{len(corpus.citing)} citation edges -> {Path(args.out)}"
     )
-    for name in ("papers", "authorships", "citations", "taxonomy", "truth"):
-        print(f"  {paths[name]}")
+    for path in paths.values():
+        print(f"  {path}")
     return 0
 
 
 def _cmd_ingest_check(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        papers_path=args.papers,
-        authorships_path=args.authorships,
-        citations_path=args.citations,
-        taxonomy_path=args.taxonomy,
-        out_dir=".",
-    )
     report = ingest_mod.IngestReport()
-    index = _parse_inputs(cfg, report)
+    index = _parse_inputs(_record(RunConfig, args, out_dir="."), report)
     for name, st in sorted(report.files.items()):
         dropped = ", ".join(f"{k}={v}" for k, v in sorted(st.dropped.items())) or "none"
         print(f"{name}: rows_read={st.rows_read} emitted={st.emitted} dropped=[{dropped}]")
@@ -416,49 +404,57 @@ def _rational(text: str) -> Fraction:
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--papers", required=True, help="papers.csv path")
-    p.add_argument("--authorships", required=True, help="authorships.csv path")
-    p.add_argument("--citations", required=True, help="citations.csv path")
-    p.add_argument("--taxonomy", required=True, help="taxonomy.csv path")
+    for role in INPUT_ROLES:
+        p.add_argument(f"--{role}", dest=f"{role}_path", required=True, help=f"{role}.csv path")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="citegraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="full pipeline to an output directory")
+    # A `run` or `synth` flag's dest is the config field it fills, and a flag
+    # left out sets nothing, so every default is the field's own (see _record).
+    p_run = sub.add_parser(
+        "run", help="full pipeline to an output directory", argument_default=argparse.SUPPRESS
+    )
     _add_input_args(p_run)
-    p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--min-papers", type=int, default=5, help="strict lower bound on full papers")
-    p_run.add_argument("--min-citations", type=int, default=1000)
-    p_run.add_argument("--seed", type=int, default=0, help="seed for field tie-breaks")
+    p_run.add_argument("--out", dest="out_dir", required=True, help="output directory")
     p_run.add_argument(
-        "--exclude-field", action="append", default=[], help="field_id excluded from a50pc/a50 tails"
+        "--min-papers", dest="min_full_papers", type=int, help="strict lower bound on full papers"
+    )
+    p_run.add_argument("--min-citations", type=int)
+    p_run.add_argument("--seed", type=int, help="seed for field tie-breaks")
+    p_run.add_argument(
+        "--exclude-field",
+        dest="excluded_fields",
+        action="append",
+        help="field_id excluded from a50pc/a50 tails",
     )
     p_run.add_argument(
-        "--pct", type=_rational, default=Fraction(1), help="tail percentile, read as an exact rational"
+        "--pct", dest="percentile", type=_rational, help="tail percentile, read as an exact rational"
     )
-    p_run.add_argument("--a50-threshold", type=int, default=50)
+    p_run.add_argument("--a50-threshold", type=int)
     p_run.add_argument(
         "--threads",
         type=int,
-        default=1,
         help="accepted for compatibility and ignored: the per-author work holds the GIL, "
         "so a thread pool only made runs slower",
     )
     p_run.set_defaults(func=_cmd_run)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
+    p_synth = sub.add_parser(
+        "synth", help="generate a synthetic corpus", argument_default=argparse.SUPPRESS
+    )
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--seed", type=int, default=1)
-    p_synth.add_argument("--background", type=int, default=10_000)
-    p_synth.add_argument("--established-fraction", type=float, default=0.38)
-    p_synth.add_argument("--self-citers", type=int, default=20)
-    p_synth.add_argument("--cartels", type=int, default=3)
-    p_synth.add_argument("--cartel-size", type=int, default=5)
-    p_synth.add_argument("--hyperteams", type=int, default=1)
-    p_synth.add_argument("--team-size", type=int, default=10)
-    p_synth.add_argument("--joint-papers", type=int, default=60)
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--background", dest="n_background_authors", type=int)
+    p_synth.add_argument("--established-fraction", type=float)
+    p_synth.add_argument("--self-citers", dest="n_self_citers", type=int)
+    p_synth.add_argument("--cartels", dest="n_cartels", type=int)
+    p_synth.add_argument("--cartel-size", type=int)
+    p_synth.add_argument("--hyperteams", dest="n_hyperteams", type=int)
+    p_synth.add_argument("--team-size", type=int)
+    p_synth.add_argument("--joint-papers", type=int)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_check = sub.add_parser("ingest-check", help="parse inputs and report accounting")

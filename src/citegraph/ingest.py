@@ -19,13 +19,14 @@ object per row:
 Each parser takes a csv reader whose header has been checked, then runs a
 single `for row in reader` loop that checks the width (by unpacking the
 row), the required ids and, for citations, drops self loops, all inline:
-one generator frame per row. The rows read and the dropped rows by reason
-are kept in locals and written to the per-file stats when the loop ends or
-the generator is closed (the rows emitted follow from them), with the
-file's parse time from header to last row. Every IngestError carries the
-line and, when the source has a name, starts with it. Readers never close
-the stream they are given: they detach their text wrapper from it when
-they finish, fail or are closed.
+one generator frame per row. Authorships and citations, the two id-pair
+files, share one such loop, `_id_pairs`. The rows read and the dropped
+rows by reason are kept in locals and written to the per-file stats when
+the loop ends or the generator is closed (the rows emitted follow from
+them), with the file's parse time from header to last row. Every
+IngestError carries the line and, when the source has a name, starts with
+it. Readers never close the stream they are given: they detach their text
+wrapper from it when they finish, fail or are closed.
 
 Ids are yielded as read, and corpus.build_index stores them as they are.
 
@@ -216,28 +217,7 @@ def parse_papers(source: IO, stats: FileIngestStats | None = None) -> Iterator[P
 
 def parse_authorships(source: IO, stats: FileIngestStats | None = None) -> Iterator[AuthorshipRow]:
     """Yield `(paper_id, author_id)` per data row; duplicates pass through."""
-    stats = stats if stats is not None else FileIngestStats()
-    start = time.perf_counter()
-    text, reader = _header_checked_reader(source, AUTHORSHIPS_HEADER)
-    rows_read = 1
-    try:
-        for row in reader:
-            try:
-                paper_id, author_id = row
-            except ValueError:
-                if not row:
-                    continue
-                raise _bad_row(source, reader, f"expected 2 fields, got {len(row)}") from None
-            if not paper_id or not author_id:
-                raise _bad_row(source, reader, "empty paper_id or author_id")
-            rows_read += 1
-            yield paper_id, author_id
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise _malformed(source, exc, reader.line_num) from exc
-    finally:
-        _release(text)
-        stats.rows_read += rows_read
-    stats.duration_s = time.perf_counter() - start
+    return _id_pairs(source, stats, AUTHORSHIPS_HEADER, drop_self_loops=False)
 
 
 def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterator[CitationRow]:
@@ -245,26 +225,38 @@ def parse_citations(source: IO, stats: FileIngestStats | None = None) -> Iterato
 
     Self-loop rows are dropped and counted, not errors; duplicates pass through.
     """
+    return _id_pairs(source, stats, CITATIONS_HEADER, drop_self_loops=True)
+
+
+def _id_pairs(
+    source: IO, stats: FileIngestStats | None, header: list[str], drop_self_loops: bool
+) -> Iterator[tuple[str, str]]:
+    """Yield the two non-empty ids of each data row of a two-column id file.
+
+    With `drop_self_loops`, a row whose ids are equal is dropped and counted
+    as a `self_loop`; the flag is read only on such a row.
+    """
     stats = stats if stats is not None else FileIngestStats()
     start = time.perf_counter()
-    text, reader = _header_checked_reader(source, CITATIONS_HEADER)
+    text, reader = _header_checked_reader(source, header)
+    empty_id = f"empty {header[0]} or {header[1]}"
     rows_read = 1
     self_loops = 0
     try:
         for row in reader:
             try:
-                citing, cited = row
+                first, second = row
             except ValueError:
                 if not row:
                     continue
                 raise _bad_row(source, reader, f"expected 2 fields, got {len(row)}") from None
-            if not citing or not cited:
-                raise _bad_row(source, reader, "empty citing_paper_id or cited_paper_id")
+            if not first or not second:
+                raise _bad_row(source, reader, empty_id)
             rows_read += 1
-            if citing == cited:
+            if first == second and drop_self_loops:
                 self_loops += 1
                 continue
-            yield citing, cited
+            yield first, second
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _malformed(source, exc, reader.line_num) from exc
     finally:

@@ -42,6 +42,11 @@ from .corpus import FULL_PAPER_TYPES, CorpusIndex
 from .errors import CitegraphError
 
 
+#: The paper's a50 threshold: a50 counts co-authors sharing strictly more than
+#: this many of the author's full papers.
+A50_THRESHOLD = 50
+
+
 class UndefinedMetricError(CitegraphError):
     """An indicator was requested for an author it is not defined for."""
 
@@ -248,13 +253,15 @@ def shared_coauthor_counts(index: CorpusIndex, author: int, full: list[int]) -> 
     return shared
 
 
-def a50_coauthors(index: CorpusIndex, author: int, full: list[int], threshold: int = 50) -> int:
+def a50_coauthors(
+    index: CorpusIndex, author: int, full: list[int], threshold: int = A50_THRESHOLD
+) -> int:
     """Distinct co-authors sharing strictly more than `threshold` of the full papers `full`."""
     return sum(1 for n in shared_coauthor_counts(index, author, full).values() if n > threshold)
 
 
 def compute_author_metrics(
-    index: CorpusIndex, cohort_author: CohortAuthor, *, a50_threshold: int = 50
+    index: CorpusIndex, cohort_author: CohortAuthor, *, a50_threshold: int = A50_THRESHOLD
 ) -> AuthorMetrics:
     """Every indicator of one cohort author, from the full papers and citation
     counts in their record; neither is read again, nor changed. An
@@ -281,7 +288,7 @@ def compute_author_metrics(
 
 
 def compute_all_metrics(
-    index: CorpusIndex, cohort: Mapping[str, CohortAuthor], *, a50_threshold: int = 50
+    index: CorpusIndex, cohort: Mapping[str, CohortAuthor], *, a50_threshold: int = A50_THRESHOLD
 ) -> dict[str, AuthorMetrics]:
     """Metrics for every cohort author, keyed and computed in sorted author order.
 

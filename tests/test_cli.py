@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from citegraph.cli import main
+from citegraph import cli, synth
+from citegraph.cli import RunConfig, main
+from citegraph.cohort import EligibilityConfig
+from citegraph.synth import SynthConfig
 
 from conftest import full_of
 
@@ -663,7 +668,7 @@ def test_pct_flag_is_exact(pct, n, rank):
     from citegraph.stats import percentile_threshold
 
     args = build_parser().parse_args(_run_args(Path("c"), Path("o"), ("--pct", pct)))
-    assert percentile_threshold(range(1, n + 1), args.pct) == rank
+    assert percentile_threshold(range(1, n + 1), args.percentile) == rank
 
 
 @pytest.mark.parametrize("pct", ["0", "60"])
@@ -762,3 +767,104 @@ def test_evaluation_csv_bytes(tmp_path):
     (run / "tail_a50.csv").write_text("author_id,value\nb000000,9\nt00m00,9\nt00m01,9\n")
     assert main(eval_args + ["--out", str(evaluation)]) == 0
     assert evaluation.read_bytes().endswith(b"\nhyperteam_member,a50,4,2,0.500000,3,0.666667\n")
+
+
+def test_data_quality_counts_papers_with_unknown_subfields(tmp_path):
+    """Subfields 102 (known), 999, 999 and 888 (unknown) and one empty value
+    (unclassified, so not counted) give 3 papers over 2 unknown ids."""
+    corpus = tmp_path / "unknown_subfields"
+    corpus.mkdir()
+    subfields = ["102", "999", "999", "888", ""]
+    (corpus / "papers.csv").write_text(
+        "paper_id,doc_type,subfield_id\n"
+        + "".join(f"p{i},article,{s}\n" for i, s in enumerate(subfields))
+    )
+    (corpus / "authorships.csv").write_text(
+        "paper_id,author_id\n" + "".join(f"p{i},a1\n" for i in range(len(subfields)))
+    )
+    (corpus / "citations.csv").write_text("citing_paper_id,cited_paper_id\n")
+    (corpus / "taxonomy.csv").write_text(
+        "subfield_id,subfield_name,field_id,field_name\n102,x,F01,Life Sciences\n"
+    )
+    out = tmp_path / "out"
+    assert main(_run_args(corpus, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["data_quality"] == {"papers_with_unknown_subfield": 3, "unknown_subfield_ids": 2}
+
+
+class _Captured(Exception):
+    """Carries the config a stubbed pipeline entry point was handed."""
+
+
+def _config_built_by(monkeypatch, module, name, argv):
+    """The config `main(argv)` hands to `module.name`, stubbed to stop there."""
+
+    def capture(cfg, *_):
+        raise _Captured(cfg)
+
+    monkeypatch.setattr(module, name, capture)
+    with pytest.raises(_Captured) as exc:
+        main(argv)
+    return exc.value.args[0]
+
+
+#: The RunConfig that `_run_args(Path("c"), Path("o"))` alone must build.
+DEFAULT_RUN_CONFIG = RunConfig(
+    *(str(Path("c") / f"{role}.csv") for role in ("papers", "authorships", "citations", "taxonomy")),
+    out_dir="o",
+    eligibility=EligibilityConfig(),
+)
+
+
+@pytest.mark.parametrize(
+    "flags, eligibility, changes",
+    [
+        ((), {}, {}),
+        (("--threads", "4"), {}, {}),
+        (("--min-papers", "3"), {"min_full_papers": 3}, {}),
+        (("--min-citations", "20"), {"min_citations": 20}, {}),
+        (("--seed", "7"), {"seed": 7}, {}),
+        (("--pct", "5/2"), {}, {"percentile": Fraction(5, 2)}),
+        (
+            ("--exclude-field", "F02", "--exclude-field", "F01"),
+            {},
+            {"excluded_fields": frozenset({"F01", "F02"})},
+        ),
+        (("--a50-threshold", "3"), {}, {"a50_threshold": 3}),
+    ],
+)
+def test_run_flags_fill_their_config_fields(monkeypatch, flags, eligibility, changes):
+    """A flag left out leaves its field at the record's default; each given
+    flag lands in its own field and nowhere else."""
+    expected = dataclasses.replace(
+        DEFAULT_RUN_CONFIG, eligibility=EligibilityConfig(**eligibility), **changes
+    )
+    argv = _run_args(Path("c"), Path("o"), flags)
+    assert _config_built_by(monkeypatch, cli, "run_pipeline", argv) == expected
+
+
+@pytest.mark.parametrize(
+    "flag, value, field, parsed",
+    [
+        (None, None, None, None),
+        ("--seed", "5", "seed", 5),
+        ("--background", "300", "n_background_authors", 300),
+        ("--established-fraction", "0.5", "established_fraction", 0.5),
+        ("--self-citers", "2", "n_self_citers", 2),
+        ("--cartels", "4", "n_cartels", 4),
+        ("--cartel-size", "3", "cartel_size", 3),
+        ("--hyperteams", "2", "n_hyperteams", 2),
+        ("--team-size", "4", "team_size", 4),
+        ("--joint-papers", "52", "joint_papers", 52),
+    ],
+)
+def test_synth_flags_fill_their_config_fields(monkeypatch, flag, value, field, parsed):
+    argv = ["synth", "--out", "x"] + ([flag, value] if flag else [])
+    expected = SynthConfig(**({field: parsed} if flag else {}))
+    assert _config_built_by(monkeypatch, synth, "generate", argv) == expected
+
+
+def test_ingest_check_builds_a_run_config_with_out_dir_dot(monkeypatch):
+    argv = ["ingest-check"] + _run_args(Path("c"), Path("o"))[1:-2]
+    expected = dataclasses.replace(DEFAULT_RUN_CONFIG, out_dir=".")
+    assert _config_built_by(monkeypatch, cli, "_parse_inputs", argv) == expected

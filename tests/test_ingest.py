@@ -77,6 +77,14 @@ def test_parse_citations_drops_self_loops_with_count():
     assert stats.dropped == {"self_loop": 1}
 
 
+def test_authorship_whose_ids_are_equal_is_kept():
+    """Only citations drop a row whose two ids are equal."""
+    stats = FileIngestStats()
+    rows = list(parse_authorships(_stream("paper_id,author_id\nx1,x1\np2,a1\n"), stats))
+    assert rows == [("x1", "x1"), ("p2", "a1")]
+    assert (stats.rows_read, stats.emitted, stats.dropped) == (3, 2, {})
+
+
 def test_parse_citations_empty_file_yields_nothing():
     assert list(parse_citations(_stream("citing_paper_id,cited_paper_id\n"))) == []
 
