@@ -29,6 +29,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -93,11 +94,14 @@ def _require_file(path: str, role: str) -> None:
 
 
 def _cell(value) -> str:
-    """A report cell: an exact rational with 2 decimals, any other float with 6, None empty."""
+    """A report cell: an exact rational with 2 decimals, any other float with 6,
+    a Decimal in plain notation (never 4.2E+2), None empty."""
     if isinstance(value, Fraction):
         return metrics_mod.format_2dp(value)
     if isinstance(value, float):
         return f"{value:.6f}"
+    if isinstance(value, Decimal):
+        return format(value, "f")
     return "" if value is None else str(value)
 
 
@@ -211,10 +215,10 @@ def run_pipeline(cfg: RunConfig) -> Path:
                     _cell(alloc.field_id),
                     _cell(index.taxonomy.field_name(alloc.field_id)),
                     alloc.cohort_count,
-                    _cell(alloc.cohort_share),
+                    _cell(float(alloc.cohort_share)),
                     alloc.tail_count,
-                    _cell(alloc.tail_share),
-                    f"{alloc.fold:.4f}",
+                    _cell(float(alloc.tail_share)),
+                    f"{float(alloc.fold):.4f}",
                     str(alloc.field_id in flagged).lower(),
                 ]
                 for alloc in tail_report.field_allocation
@@ -238,7 +242,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         ratio, ci = table.odds_ratio, (table.ci_low, table.ci_high)
         cooccur_rows.append(
             [name_a, name_b, table.a, table.b, table.c, table.d]
-            + ["" if v is None else str(stats_mod.round_sig2(v)) for v in (ratio, *ci)]
+            + ["" if v is None else _cell(stats_mod.round_sig2(v)) for v in (ratio, *ci)]
             + ["" if ratio is None else f"{ratio.numerator}/{ratio.denominator}"]
             + ["" if v is None else f"{v:.10g}" for v in ci]
             + [str(table.degenerate).lower()]

@@ -9,14 +9,14 @@ position in the sorted list of the string ids. Int order is therefore
 string order, so anything ordered or tie-broken by id comes out exactly as
 it would over the strings. Adjacency is stored in CSR form, an offsets
 array and a targets array per relation, so a row is one slice of one
-`array` and the index holds no Python object per edge. There is no
+`array` and the index holds no Python object per edge. Both are built from
+per-row 4-byte `array('i')` buffers by one routine, `_csr`. There is no
 string-keyed read path: callers map a string id to its int with
 `author_index` and back through `paper_ids` and `author_ids`.
 """
 
 from __future__ import annotations
 
-import gc
 import logging
 import time
 from array import array
@@ -25,6 +25,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -228,36 +229,17 @@ def build_index(
     ids are sorted and numbered, so each later row maps its paper ids to
     final int ids with one dict lookup. Authorships are kept as flat
     (paper, author) int pairs and turned into teams and author rows before
-    the first citation is read; each cited paper collects its citing ids in
-    one list, sorted and deduplicated into the CSR once all citations are
-    in. Ids are stored as the rows hold them, one string per kept id.
+    the first citation is read. Each author, and each cited paper only,
+    collects its row in an `array('i')` buffer, four bytes per target; a
+    citer buffer keeps repeats until all citations are in, then is sorted
+    and deduplicated. Ids are stored as the rows hold them, one string per
+    kept id.
 
     Duplicate rows collapse. A paper_id appearing twice with a different
     doc_type or subfield_id is a hard error. Citation edges or authorships
     that reference unknown paper_ids are dropped and counted, so partial
     corpora stay analyzable.
-
-    The build allocates one list per cited paper and one tuple per team
-    that live until the build ends or as long as the index, so the cyclic
-    garbage collector is paused while it runs: each collection would
-    re-traverse them and find nothing to free. The collector is re-enabled
-    afterwards only if it was enabled before.
     """
-    collector_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _build_index(papers, authorships, citations, taxonomy)
-    finally:
-        if collector_was_enabled:
-            gc.enable()
-
-
-def _build_index(
-    papers: Iterable[PaperRow],
-    authorships: Iterable[AuthorshipRow],
-    citations: Iterable[CitationRow],
-    taxonomy: FieldTaxonomy,
-) -> CorpusIndex:
     clock = time.perf_counter
 
     # paper_id -> (DocType, subfield_id) while reading, then -> int id. Papers
@@ -310,13 +292,13 @@ def _build_index(
     # paper's authors, in increasing author id, with repeated rows adjacent.
     pairs = sorted([p << 32 | renumber[a] for p, a in zip(ship_papers, ship_authors)])
     del ship_papers, ship_authors, renumber
-    team_of, teams, paper_offsets, paper_targets = _invert_authorships(
-        pairs, n_papers, len(author_ids)
-    )
+    team_of, teams, author_rows = _invert_authorships(pairs, n_papers, len(author_ids))
     del pairs
+    paper_offsets, paper_targets = _csr(enumerate(author_rows), len(author_ids))
+    del author_rows
     finalise_s += clock() - started
 
-    citer_lists: defaultdict[int, list[int]] = defaultdict(list)
+    citer_rows: defaultdict[int, array] = defaultdict(partial(array, "i"))
     dropped_unknown_edges = 0
     dropped_self_loops = 0
     for citing, cited in citations:
@@ -328,17 +310,15 @@ def _build_index(
         if u is None or v is None:
             dropped_unknown_edges += 1
             continue
-        citer_lists[v].append(u)
+        citer_rows[v].append(u)
     del paper_map, paper_of
 
     started = clock()
-    citer_counts = [0] * (n_papers + 1)
-    citer_targets = array("i")
-    for v in sorted(citer_lists):
-        citers = sorted(set(citer_lists.pop(v)))
-        citer_targets.extend(citers)
-        citer_counts[v + 1] = len(citers)
-    citer_offsets = array("q", accumulate(citer_counts))
+    # Each buffer is deduplicated just before its row is copied and freed right
+    # after; rebuilding them all in a pass of its own adds ~4 MB to the peak.
+    citer_offsets, citer_targets = _csr(
+        ((v, sorted(set(citer_rows.pop(v)))) for v in sorted(citer_rows)), n_papers
+    )
     finalise_s += clock() - started
 
     if dropped_unknown_edges:
@@ -368,13 +348,29 @@ def _build_index(
     )
 
 
+def _csr(rows: Iterable[tuple[int, Sequence[int]]], n_rows: int) -> tuple[array, array]:
+    """CSR offsets and targets of rows 0 .. n_rows - 1 from (row id, targets) pairs.
+
+    The pairs come in increasing row id, each row already sorted and
+    deduplicated; a row id not given is an empty row. Each row is dropped
+    once it is copied, so a lazy `rows` frees every buffer before the next
+    one is appended.
+    """
+    counts = [0] * (n_rows + 1)
+    targets = array("i")
+    for r, row in rows:
+        counts[r + 1] = len(row)
+        targets.extend(row)
+    return array("q", accumulate(counts)), targets
+
+
 _LOW_32 = (1 << 32) - 1
 
 
 def _invert_authorships(
     pairs: list[int], n_papers: int, n_authors: int
-) -> tuple[array, list[tuple[int, ...]], array, array]:
-    """team_of, teams and the author CSR from sorted `paper << 32 | author` ints.
+) -> tuple[array, list[tuple[int, ...]], list[array]]:
+    """team_of, teams and each author's paper buffer from sorted `paper << 32 | author` ints.
 
     The pairs come grouped by paper in increasing id, so each paper's team
     and each author's row come out sorted; a repeated pair is skipped.
@@ -402,6 +398,4 @@ def _invert_authorships(
         paper = p
     if team:
         team_of[paper] = number(tuple(team), len(team_ids))
-    paper_offsets = array("q", accumulate(map(len, rows), initial=0))
-    paper_targets = array("i", b"".join(rows))
-    return team_of, list(team_ids), paper_offsets, paper_targets
+    return team_of, list(team_ids), rows

@@ -22,7 +22,7 @@ from .metrics import AuthorMetrics
 METRIC_NAMES = ("c_over_h2", "a50pc", "a50")
 TAILS = ("lower", "upper")
 #: A field is enriched in a tail when its fold is strictly above this.
-FOLD_CUTOFF = 1.5
+FOLD_CUTOFF = Fraction(3, 2)
 
 
 class StatsError(CitegraphError):
@@ -50,16 +50,17 @@ class TailSpec:
 
 @dataclass(frozen=True)
 class FieldAllocation:
-    """One field's share of the cohort versus its share of the tail."""
+    """One field's share of the cohort versus its share of the tail, as exact
+    fractions of the counts, so the fold compares with FOLD_CUTOFF exactly."""
 
     field_id: str | None
     cohort_count: int
     tail_count: int
-    cohort_share: float
-    tail_share: float
+    cohort_share: Fraction
+    tail_share: Fraction
 
     @property
-    def fold(self) -> float:
+    def fold(self) -> Fraction:
         return self.tail_share / self.cohort_share
 
 
@@ -134,8 +135,8 @@ def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailRe
             field_id=fid,
             cohort_count=cohort_fields[fid],
             tail_count=tail_fields[fid],
-            cohort_share=cohort_fields[fid] / n_cohort,
-            tail_share=(tail_fields[fid] / n_tail) if n_tail else 0.0,
+            cohort_share=Fraction(cohort_fields[fid], n_cohort),
+            tail_share=Fraction(tail_fields[fid], n_tail) if n_tail else Fraction(0),
         )
         for fid in sorted(cohort_fields, key=lambda f: (f is None, f))
     )

@@ -3,12 +3,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from citegraph import cli, synth
+from citegraph import cli, stats, synth
 from citegraph.cli import RunConfig, main
 from citegraph.cohort import EligibilityConfig
 from citegraph.synth import SynthConfig
@@ -102,6 +103,17 @@ def test_cooccur_has_three_pairs(run_dir):
     n = manifest["cohort"]["n_eligible"]
     for r in rows:
         assert int(r["a"]) + int(r["b"]) + int(r["c"]) + int(r["d"]) == n
+
+
+def test_cooccur_rounded_cells_are_plain_decimals():
+    """An odds ratio of 3797/9 rounds to Decimal('4.2E+2'), whose str() is
+    scientific; the cell spells it out."""
+    table = stats.ContingencyTable.from_counts(20, 18, 10, 3797)
+    cells = [cli._cell(stats.round_sig2(v)) for v in (table.odds_ratio, table.ci_low, table.ci_high)]
+    assert cells == ["420", "210", "840"]
+    assert [cli._cell(Decimal(v)) for v in ("0.09", "7.0", "1.2E-7", "0")] == [
+        "0.09", "7.0", "0.00000012", "0",
+    ]
 
 
 def test_rerun_is_byte_identical_except_timings(corpus_dir, run_dir, tmp_path):

@@ -163,6 +163,8 @@ def _strictly_increasing(seq) -> bool:
 
 
 def _check_csr(offsets, targets, n_rows: int) -> None:
+    # The documented layout: 64-bit offsets and 4-byte targets.
+    assert (offsets.typecode, targets.typecode) == ("q", "i")
     assert len(offsets) == n_rows + 1
     assert offsets[0] == 0
     assert all(a <= b for a, b in zip(offsets, offsets[1:]))
@@ -188,6 +190,7 @@ def test_csr_arrays_are_canonical_in_any_row_order(corpus, rng):
         _check_csr(index.paper_offsets, index.paper_targets, n_authors)
         assert all(_strictly_increasing(team) for team in index.teams)
         assert len(set(index.teams)) == len(index.teams)
+        assert index.team_of.typecode == "i"
         assert len(index.team_of) == n_papers
         for p, pid in enumerate(index.paper_ids):
             assert (index.team_of[p] == -1) == (pid not in authored)

@@ -218,6 +218,23 @@ def test_enrichment_cutoff_is_strict():
     assert enrichment_flags(report2) == set()  # fold exactly 1.5
 
 
+def test_exact_fold_of_three_halves_is_not_flagged():
+    """21 authors, 10 in F1; the 35% upper tail is the 7 authors above 14, 5 of
+    them in F1. The fold (5/7) / (10/21) is exactly 3/2, which float shares
+    divide to 1.5000000000000002."""
+    in_f1 = {1, 2, 3, 4, 5, 15, 16, 17, 18, 19}
+    metrics = {
+        f"a{i:02d}": _author(f"a{i:02d}", ratio=Fraction(i), field="F1" if i in in_f1 else "F2")
+        for i in range(1, 22)
+    }
+    report = tail_members(metrics, TailSpec("c_over_h2", "upper", 35))
+    assert len(report.members) == 7
+    f1 = next(a for a in report.field_allocation if a.field_id == "F1")
+    assert (f1.cohort_share, f1.tail_share) == (Fraction(10, 21), Fraction(5, 7))
+    assert f1.fold == Fraction(3, 2)
+    assert enrichment_flags(report) == set()
+
+
 # ---------------------------------------------------------------------------
 # histogram
 # ---------------------------------------------------------------------------
