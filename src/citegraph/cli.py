@@ -39,12 +39,23 @@ from . import ingest as ingest_mod
 from . import metrics as metrics_mod
 from . import stats as stats_mod
 from . import synth as synth_mod
-from .corpus import CorpusIndex, build_index
+from .corpus import CorpusIndex, FieldTaxonomy, build_index
 from .errors import CitegraphError
 
 METRICS_CSV_HEADER = [f.name for f in fields(metrics_mod.AuthorMetrics)]
 
 TAIL_CSV_HEADER = ["author_id", "value"]
+
+ALLOCATION_CSV_HEADER = [
+    "field_id",
+    "field_name",
+    "cohort_count",
+    "cohort_share",
+    "tail_count",
+    "tail_share",
+    "fold",
+    "flagged",
+]
 
 #: The four input files by role: `--<role>` fills `RunConfig.<role>_path`.
 INPUT_ROLES = ("papers", "authorships", "citations", "taxonomy")
@@ -93,20 +104,38 @@ def _require_file(path: str, role: str) -> None:
         raise CitegraphError(f"{role} file not found: {path}")
 
 
-def _cell(value) -> str:
-    """A report cell: an exact rational with 2 decimals, any other float with 6,
-    a Decimal in plain notation (never 4.2E+2), None empty."""
+def _cell(value, places: int = 2) -> str:
+    """A report cell: an exact rational with `places` decimals, rounded half to
+    even (2 unless its column asks for more: 6 for a share, recall or
+    precision, 4 for a fold), a Decimal in plain notation (never 4.2E+2),
+    None empty."""
     if isinstance(value, Fraction):
-        return metrics_mod.format_2dp(value)
-    if isinstance(value, float):
-        return f"{value:.6f}"
+        return metrics_mod.format_fixed(value, places)
     if isinstance(value, Decimal):
         return format(value, "f")
     return "" if value is None else str(value)
 
 
-def _cells(records, header: list[str]) -> list[list[str]]:
-    return [[_cell(getattr(r, name)) for name in header] for r in records]
+def _cells(records, header: list[str], places: int = 2) -> list[list[str]]:
+    return [[_cell(getattr(r, name), places) for name in header] for r in records]
+
+
+def _allocation_rows(report: stats_mod.TailReport, taxonomy: FieldTaxonomy) -> list[list]:
+    """The rows of `allocation_<metric>.csv`: shares at 6 decimals, the fold at 4."""
+    flagged = stats_mod.enrichment_flags(report)
+    return [
+        [
+            _cell(alloc.field_id),
+            _cell(taxonomy.field_name(alloc.field_id)),
+            alloc.cohort_count,
+            _cell(alloc.cohort_share, 6),
+            alloc.tail_count,
+            _cell(alloc.tail_share, 6),
+            _cell(alloc.fold, 4),
+            str(alloc.field_id in flagged).lower(),
+        ]
+        for alloc in report.field_allocation
+    ]
 
 
 def _write_csv(path: Path, header: list[str], rows) -> str:
@@ -194,35 +223,13 @@ def run_pipeline(cfg: RunConfig) -> Path:
     # so the output file set never depends on the data.
     tail_reports = {m: stats_mod.tail_members(all_metrics, spec) for m, spec in specs.items()}
     for metric, tail_report in tail_reports.items():
-        flagged = stats_mod.enrichment_flags(tail_report)
         tables[f"tail_{metric}.csv"] = (
             TAIL_CSV_HEADER,
             [[a, _cell(getattr(all_metrics[a], metric))] for a in sorted(tail_report.members)],
         )
         tables[f"allocation_{metric}.csv"] = (
-            [
-                "field_id",
-                "field_name",
-                "cohort_count",
-                "cohort_share",
-                "tail_count",
-                "tail_share",
-                "fold",
-                "flagged",
-            ],
-            [
-                [
-                    _cell(alloc.field_id),
-                    _cell(index.taxonomy.field_name(alloc.field_id)),
-                    alloc.cohort_count,
-                    _cell(float(alloc.cohort_share)),
-                    alloc.tail_count,
-                    _cell(float(alloc.tail_share)),
-                    f"{float(alloc.fold):.4f}",
-                    str(alloc.field_id in flagged).lower(),
-                ]
-                for alloc in tail_report.field_allocation
-            ],
+            ALLOCATION_CSV_HEADER,
+            _allocation_rows(tail_report, index.taxonomy),
         )
 
     hist_overflow: dict[str, dict[str, int]] = {}
@@ -387,15 +394,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             members[metric] = frozenset(author_id for _, (author_id, _) in rows)
     results = synth_mod.evaluate_detection(truth, members)
     for r in results:
-        recall = "n/a" if r.recall is None else f"{r.recall:.4f}"
-        precision = "n/a" if r.precision is None else f"{r.precision:.4f}"
+        recall = "n/a" if r.recall is None else _cell(r.recall, 4)
+        precision = "n/a" if r.precision is None else _cell(r.precision, 4)
         print(
             f"{r.motif}: planted={r.n_planted} detected={r.n_detected} "
             f"recall={recall} tail_size={r.tail_size} precision={precision}"
         )
     if args.out:
         header = [f.name for f in fields(synth_mod.DetectionResult)]
-        _write_csv(Path(args.out), header, _cells(results, header))
+        _write_csv(Path(args.out), header, _cells(results, header, 6))
     return 0
 
 

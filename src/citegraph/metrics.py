@@ -106,17 +106,20 @@ def c_over_h2(citations: int, h: int) -> Fraction:
     return Fraction(citations, h * h)
 
 
-def format_2dp(value: Fraction | int) -> str:
-    """Render a nonnegative rational with exactly 2 decimals, rounding half to even."""
+def format_fixed(value: Fraction | int, places: int) -> str:
+    """Render a nonnegative rational with exactly `places` (>= 1) decimals,
+    rounding the exact value half to even, never its float."""
     frac = Fraction(value)
     if frac < 0:
         raise ValueError("negative values not supported")
-    scaled = frac * 100
+    unit = 10**places
+    scaled = frac * unit
     q, r = divmod(scaled.numerator, scaled.denominator)
     double = 2 * r
     if double > scaled.denominator or (double == scaled.denominator and q % 2 == 1):
         q += 1
-    return f"{q // 100}.{q % 100:02d}"
+    whole, decimals = divmod(q, unit)
+    return f"{whole}.{decimals:0{places}d}"
 
 
 def a50pc_greedy(index: CorpusIndex, full: list[int]) -> int:

@@ -37,6 +37,15 @@ numbers, so an edge costs 8 bytes. The per-author paper lists that drive
 the citation placement are one pair of `array('i')`, offsets and paper
 numbers, not one list per author.
 
+Background citations are placed a batch at a time (`_place_from_pool`):
+each round over the cited papers whose counts are not yet met is cut into
+batches of `randint(2, 6)` papers, one citing paper drawn from the pool
+cites a whole batch, and the batch is appended to both citation arrays at
+once. The planted behaviors append their edges the same way. Every index is
+drawn by the rule of CPython's `randrange`, written out inline
+(`_CitingPool`), so the corpus is the one `randint` and `randrange` calls
+would give, without their Python frames.
+
 `write_corpus` formats each record row straight from the columns, one
 `%` formatting per row, without the csv module: every field it writes
 (the `p`/`b`/`s`/`c..m`/`t..m` ids, DocType codes and the default
@@ -56,6 +65,8 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -263,10 +274,6 @@ class _Builder:
             corpus.authorship_authors.append(author_id)
         return paper
 
-    def cite(self, citing: int, cited: int) -> None:
-        self.corpus.citing.append(citing)
-        self.corpus.cited.append(cited)
-
 
 def _top_allocation(budget: int, n: int, alpha: float) -> list[int]:
     """Split budget across n ranks with weight (rank+1)**-alpha, exactly."""
@@ -278,44 +285,48 @@ def _top_allocation(budget: int, n: int, alpha: float) -> list[int]:
     return shares
 
 
-def _schedule_batches(rng: random.Random, targets: list[tuple[int, int]]):
-    """Yield batches of distinct papers whose multiplicities realize the targets exactly."""
-    remaining = [(pid, c) for pid, c in targets if c > 0]
-    while remaining:
-        round_papers = [pid for pid, _ in remaining]
-        i = 0
-        while i < len(round_papers):
-            k = rng.randint(*_CITING_BATCH)
-            yield round_papers[i : i + k]
-            i += k
-        remaining = [(pid, c - 1) for pid, c in remaining if c > 1]
-
-
 class _CitingPool:
     """Draws citing papers from the background population, never from the cited author.
 
-    Author j's papers are `papers[starts[j]:starts[j + 1]]`.
+    Author j's papers are `papers[starts[j]:starts[j + 1]]`. A draw picks an
+    author index and then a position in that author's papers. Each index
+    below n is drawn as `random.Random.randrange(n)` draws it in CPython 3.10
+    to 3.13: `getrandbits(n.bit_length())`, drawn again while it is >= n.
+    `randint(lo, hi)` is lo plus such a draw below hi - lo + 1. The rule is
+    written out inline here and in `_place_from_pool`, so the same seed
+    consumes the generator exactly as those calls would, without their
+    Python frames.
     """
 
     def __init__(self, rng: random.Random, starts: array, papers: array):
         self.rng = rng
         self.starts = starts
         self.papers = papers
+        self.n_authors = len(starts) - 1
+        self.author_bits = self.n_authors.bit_length()
 
     def draw(self, exclude_author_index: int | None, used: set[int]) -> int | None:
-        starts = self.starts
-        n = len(starts) - 1
+        n = self.n_authors
         if n == 0 or (n == 1 and exclude_author_index == 0):
             return None
+        getrandbits = self.rng.getrandbits
+        author_bits = self.author_bits
+        starts = self.starts
         for _ in range(1000):
-            j = self.rng.randrange(n)
+            j = getrandbits(author_bits)
+            while j >= n:
+                j = getrandbits(author_bits)
             if j == exclude_author_index:
                 continue
             start = starts[j]
             n_papers = starts[j + 1] - start
             if not n_papers:
                 continue
-            u = self.papers[start + self.rng.randrange(n_papers)]
+            paper_bits = n_papers.bit_length()
+            r = getrandbits(paper_bits)
+            while r >= n_papers:
+                r = getrandbits(paper_bits)
+            u = self.papers[start + r]
             if u in used:
                 continue
             used.add(u)
@@ -329,13 +340,39 @@ def _place_from_pool(
     exclude_author_index: int | None,
     targets: list[tuple[int, int]],
 ) -> None:
+    """Cite each target paper as many times as its count, from distinct pool papers.
+
+    Each round cites every paper whose count is not yet met once, in target
+    order, in batches of `randint(*_CITING_BATCH)` papers; one pool paper
+    cites a whole batch, and no pool paper is drawn twice for one call.
+    Each batch size is drawn before its citing paper. Placement stops when
+    the pool gives up.
+    """
+    lo, hi = _CITING_BATCH
+    span = hi - lo + 1
+    span_bits = span.bit_length()
+    getrandbits = builder.rng.getrandbits
+    draw = pool.draw
+    citing = builder.corpus.citing
+    cited = builder.corpus.cited
     used: set[int] = set()
-    for papers in _schedule_batches(builder.rng, targets):
-        u = pool.draw(exclude_author_index, used)
-        if u is None:
-            return
-        for p in papers:
-            builder.cite(u, p)
+    remaining = [(p, c) for p, c in targets if c > 0]
+    while remaining:
+        round_papers = [p for p, _ in remaining]
+        n = len(round_papers)
+        i = 0
+        while i < n:
+            k = getrandbits(span_bits)
+            while k >= span:
+                k = getrandbits(span_bits)
+            batch = round_papers[i : i + lo + k]
+            i += lo + k
+            u = draw(exclude_author_index, used)
+            if u is None:
+                return
+            citing.extend(repeat(u, len(batch)))
+            cited.extend(batch)
+        remaining = [(p, c - 1) for p, c in remaining if c > 1]
 
 
 def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[array, array, list[int]]:
@@ -419,6 +456,7 @@ def _cite_background(
 
 
 def _build_self_citers(builder: _Builder, cfg: SynthConfig) -> None:
+    corpus = builder.corpus
     h = _PLANT_H
     n_papers = h + 4
     for i in range(cfg.n_self_citers):
@@ -433,11 +471,12 @@ def _build_self_citers(builder: _Builder, cfg: SynthConfig) -> None:
         # same author: citations land exactly where they raise h, and
         # citations == h*h, the floor of c_over_h2.
         for j in range(h):
-            for t in range(1, h + 1):
-                builder.cite(papers[(j + t) % n_papers], papers[j])
+            corpus.citing.extend(papers[(j + t) % n_papers] for t in range(1, h + 1))
+            corpus.cited.extend(repeat(papers[j], h))
 
 
 def _build_cartels(builder: _Builder, cfg: SynthConfig) -> None:
+    corpus = builder.corpus
     h = _PLANT_H
     n_papers = h + 1
     for c in range(cfg.n_cartels):
@@ -458,21 +497,21 @@ def _build_cartels(builder: _Builder, cfg: SynthConfig) -> None:
         # h top papers, so a few partners cover all citations.
         per_partner = math.ceil(h / (cfg.cartel_size - 1))
         for k in range(cfg.cartel_size):
-            citing: list[int] = []
+            citing_papers: list[int] = []
             for j in range(cfg.cartel_size):
                 if j != k:
-                    citing.extend(member_papers[j][:per_partner])
-            citing = citing[:h]
-            for u in citing:
-                for p in member_papers[k][:h]:
-                    builder.cite(u, p)
+                    citing_papers.extend(member_papers[j][:per_partner])
+            top = member_papers[k][:h]
+            for u in citing_papers[:h]:
+                corpus.citing.extend(repeat(u, h))
+                corpus.cited.extend(top)
 
 
 def _build_hyperteams(
     builder: _Builder, cfg: SynthConfig, pool_starts: array, pool_papers: array
 ) -> None:
-    rng = builder.rng
-    pool = _CitingPool(rng, pool_starts, pool_papers)
+    corpus = builder.corpus
+    pool = _CitingPool(builder.rng, pool_starts, pool_papers)
     for t in range(cfg.n_hyperteams):
         group = f"team{t:02d}"
         members = [f"t{t:02d}m{k:02d}" for k in range(cfg.team_size)]
@@ -490,16 +529,15 @@ def _build_hyperteams(
         counts = [h + base + (1 if r < rem else 0) for r in range(h)] + [4] * (n - h)
         for j, c in enumerate(counts):
             n_intra = min(n - 1, c)
-            for s in range(n_intra):
-                builder.cite(papers[(j + 1 + s) % n], papers[j])
-            n_extern = c - n_intra
-            if n_extern > 0:
-                used: set[int] = set()
-                for _ in range(n_extern):
-                    u = pool.draw(None, used)
-                    if u is None:
-                        break
-                    builder.cite(u, papers[j])
+            citers = [papers[(j + 1 + s) % n] for s in range(n_intra)]
+            used: set[int] = set()
+            for _ in range(c - n_intra):
+                u = pool.draw(None, used)
+                if u is None:
+                    break
+                citers.append(u)
+            corpus.citing.extend(citers)
+            corpus.cited.extend(repeat(papers[j], len(citers)))
 
 
 def generate(cfg: SynthConfig) -> SynthCorpus:
@@ -582,9 +620,9 @@ class DetectionResult:
     tail_metric: str
     n_planted: int
     n_detected: int
-    recall: float | None
+    recall: Fraction | None
     tail_size: int
-    precision: float | None
+    precision: Fraction | None
 
 
 def evaluate_detection(
@@ -593,9 +631,9 @@ def evaluate_detection(
     """Recall and precision of each planted behavior in its designated tail.
 
     `tails` maps each metric of MOTIF_TAILS to its tail's members.
-    recall is the fraction of planted authors found inside the tail, None
-    when nothing was planted. precision is the fraction of tail members that
-    carry the motif label, None for an empty tail.
+    recall is the exact fraction of planted authors found inside the tail,
+    None when nothing was planted. precision is the exact fraction of tail
+    members that carry the motif label, None for an empty tail.
     """
     results = []
     for motif, metric in MOTIF_TAILS.items():
@@ -608,9 +646,9 @@ def evaluate_detection(
                 tail_metric=metric,
                 n_planted=len(planted),
                 n_detected=detected,
-                recall=(detected / len(planted)) if planted else None,
+                recall=Fraction(detected, len(planted)) if planted else None,
                 tail_size=len(members),
-                precision=(detected / len(members)) if members else None,
+                precision=Fraction(detected, len(members)) if members else None,
             )
         )
     return tuple(results)

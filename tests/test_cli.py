@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from citegraph import cli, stats, synth
 from citegraph.cli import RunConfig, main
@@ -114,6 +116,89 @@ def test_cooccur_rounded_cells_are_plain_decimals():
     assert [cli._cell(Decimal(v)) for v in ("0.09", "7.0", "1.2E-7", "0")] == [
         "0.09", "7.0", "0.00000012", "0",
     ]
+
+
+def _exact_cell(num: int, den: int, places: int) -> str:
+    """num/den with `places` decimals, the exact value rounded half to even."""
+    rounded = round(Fraction(num, den), places)
+    return f"{Decimal(rounded.numerator) / Decimal(rounded.denominator):.{places}f}"
+
+
+@st.composite
+def field_counts(draw):
+    """(field_id, cohort count, tail count) per field; tails are cohort subsets."""
+    rows = []
+    for field_id in draw(st.lists(st.sampled_from(["F01", "F02", "F03", None]), min_size=1, unique=True)):
+        cohort_count = draw(st.integers(1, 20_000))
+        rows.append((field_id, cohort_count, draw(st.integers(0, cohort_count))))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_counts())
+# 1/640 of the cohort: the float of the share prints 0.001563.
+@example([("F01", 1, 0), ("F02", 639, 1)])
+# A fold of 49/160: its float prints 0.3063.
+@example([("F01", 40, 1), ("F02", 9, 3)])
+# A fold of exactly 3/2 is not flagged.
+@example([("F01", 10, 5), ("F02", 11, 2)])
+def test_allocation_cells_equal_cells_from_exact_counts(rows):
+    n_cohort = sum(c for _, c, _ in rows)
+    n_tail = sum(t for _, _, t in rows)
+    report = stats.TailReport(
+        cohort_size=n_cohort,
+        threshold=1,
+        members=frozenset(),
+        median=1,
+        iqr=(1, 1),
+        field_allocation=tuple(
+            stats.FieldAllocation(
+                field_id=f,
+                cohort_count=c,
+                tail_count=t,
+                cohort_share=Fraction(c, n_cohort),
+                tail_share=Fraction(t, n_tail) if n_tail else Fraction(0),
+            )
+            for f, c, t in rows
+        ),
+    )
+    printed = cli._allocation_rows(report, synth.default_taxonomy())
+    expected = [
+        [
+            f or "",
+            synth.default_taxonomy().field_name(f) or "",
+            c,
+            _exact_cell(c, n_cohort, 6),
+            t,
+            _exact_cell(t, max(n_tail, 1), 6),
+            _exact_cell(t * n_cohort, c * max(n_tail, 1), 4),
+            str(f is not None and t > 0 and 2 * t * n_cohort > 3 * c * n_tail).lower(),
+        ]
+        for f, c, t in rows
+    ]
+    assert printed == expected
+
+
+def test_evaluate_prints_exact_recall_and_precision(tmp_path, capsys):
+    """1 of 160 planted members found: recall 1/160 = 0.00625 exactly, whose
+    float prints 0.0063 at 4 decimals and 0.006250 at 6."""
+    truth = tmp_path / "truth.csv"
+    truth.write_text(
+        "author_id,label,group_id\n"
+        + "".join(f"t{k:03d},hyperteam_member,team00\n" for k in range(160))
+    )
+    run = tmp_path / "run"
+    run.mkdir()
+    for metric in ("c_over_h2", "a50pc"):
+        (run / f"tail_{metric}.csv").write_text("author_id,value\n")
+    (run / "tail_a50.csv").write_text("author_id,value\nt000,60\n")
+    out = tmp_path / "evaluation.csv"
+    args = ["evaluate", "--truth", str(truth), "--run-dir", str(run), "--out", str(out)]
+    assert main(args) == 0
+    assert "hyperteam_member: planted=160 detected=1 recall=0.0062 tail_size=1 precision=1.0000" in (
+        capsys.readouterr().out
+    )
+    assert out.read_bytes().endswith(b"\nhyperteam_member,a50,160,1,0.006250,1,1.000000\n")
 
 
 def test_rerun_is_byte_identical_except_timings(corpus_dir, run_dir, tmp_path):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citegraph import metrics as metrics_mod
 from citegraph.cohort import EligibilityConfig, eligible_authors
@@ -17,7 +20,7 @@ from citegraph.metrics import (
     citation_counts,
     compute_all_metrics,
     compute_author_metrics,
-    format_2dp,
+    format_fixed,
     h_index,
 )
 
@@ -69,12 +72,35 @@ def test_c_over_h2_undefined_for_zero_h():
 
 
 def test_format_2dp_rounds_half_to_even():
-    assert format_2dp(Fraction(5, 2)) == "2.50"
-    assert format_2dp(Fraction(21, 8)) == "2.62"   # 2.625 ties to even
-    assert format_2dp(Fraction(527, 200)) == "2.64"  # 2.635 ties to even
-    assert format_2dp(Fraction(2450, 961)) == "2.55"
-    assert format_2dp(Fraction(1, 3)) == "0.33"
-    assert format_2dp(7) == "7.00"
+    assert format_fixed(Fraction(5, 2), 2) == "2.50"
+    assert format_fixed(Fraction(21, 8), 2) == "2.62"   # 2.625 ties to even
+    assert format_fixed(Fraction(527, 200), 2) == "2.64"  # 2.635 ties to even
+    assert format_fixed(Fraction(2450, 961), 2) == "2.55"
+    assert format_fixed(Fraction(1, 3), 2) == "0.33"
+    assert format_fixed(7, 2) == "7.00"
+
+
+def test_format_fixed_rounds_the_exact_value_not_its_float():
+    """Exact ties whose floats lie just above the tie: the float rounds up,
+    the exact value rounds half to even."""
+    assert f"{1 / 640:.6f}" == "0.001563"
+    assert format_fixed(Fraction(1, 640), 6) == "0.001562"
+    assert f"{49 / 160:.4f}" == "0.3063"
+    assert format_fixed(Fraction(49, 160), 4) == "0.3062"
+    assert format_fixed(Fraction(49, 32), 4) == "1.5312"  # a float holds 49/32 exactly
+    assert format_fixed(Fraction(3, 2), 4) == "1.5000"
+    assert format_fixed(0, 6) == "0.000000"
+    assert format_fixed(Fraction(123456789, 1000), 1) == "123456.8"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**7), st.integers(1, 10**5), st.integers(1, 8))
+def test_format_fixed_equals_the_exact_half_to_even_rounding(num, den, places):
+    """`round(Fraction, places)` rounds exactly, half to even; its value has
+    at most `places` decimals, so Decimal spells it out exactly."""
+    rounded = round(Fraction(num, den), places)
+    expected = f"{Decimal(rounded.numerator) / Decimal(rounded.denominator):.{places}f}"
+    assert format_fixed(Fraction(num, den), places) == expected
 
 
 # ---------------------------------------------------------------------------
