@@ -10,7 +10,9 @@ string order, so anything ordered or tie-broken by id comes out exactly as
 it would over the strings. Adjacency is stored in CSR form, an offsets
 array and a targets array per relation, so a row is one slice of one
 `array` and the index holds no Python object per edge. Both are built from
-per-row 4-byte `array('i')` buffers by one routine, `_csr`. There is no
+per-row 4-byte `array('i')` buffers, one per author id and one per cited
+paper, by one routine, `_csr`, which sorts and deduplicates each row; the
+teams are read off the finished author rows. There is no
 string-keyed read path: callers map a string id to its int with
 `author_index` and back through `paper_ids` and `author_ids`.
 """
@@ -26,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Iterable, Iterator
 
 from .errors import CitegraphError
@@ -138,8 +140,8 @@ class CorpusIndex:
     the arrays themselves.
 
     `finalise_s` is the wall time build_index spent turning the collected
-    rows into the arrays: sorting and numbering the ids, deduplicating each
-    row and inverting authorships into teams and author rows.
+    rows into the arrays: sorting and numbering the ids, sorting and
+    deduplicating each row and reading the teams off the author rows.
     """
 
     __slots__ = (
@@ -227,13 +229,13 @@ def build_index(
 
     The streams are drained in that order. Once the papers are read, their
     ids are sorted and numbered, so each later row maps its paper ids to
-    final int ids with one dict lookup. Authorships are kept as flat
-    (paper, author) int pairs and turned into teams and author rows before
-    the first citation is read. Each author, and each cited paper only,
-    collects its row in an `array('i')` buffer, four bytes per target; a
-    citer buffer keeps repeats until all citations are in, then is sorted
-    and deduplicated. Ids are stored as the rows hold them, one string per
-    kept id.
+    final int ids with one dict lookup. Each author id, and each cited
+    paper only, collects its row in an `array('i')` buffer, four bytes per
+    target, repeats included. Once a relation's rows are in, the author
+    ids are sorted and numbered, and each buffer is sorted, deduplicated
+    and copied into the relation's arrays; the author rows and the teams
+    read off them are done before the first citation is read. Ids are
+    stored as the rows hold them, one string per kept id.
 
     Duplicate rows collapse. A paper_id appearing twice with a different
     doc_type or subfield_id is a hard error. Citation edges or authorships
@@ -266,36 +268,21 @@ def build_index(
     paper_of = paper_map.get
     finalise_s = clock() - started
 
-    # Authorships as flat (paper, author) pairs; authors numbered as first seen.
-    first_seen: dict[str, int] = {}
-    ship_papers = array("i")
-    ship_authors = array("i")
+    author_rows: defaultdict[str, array] = defaultdict(partial(array, "i"))
     dropped_unknown_authorships = 0
     for pid, aid in authorships:
         p = paper_of(pid)
         if p is None:
             dropped_unknown_authorships += 1
             continue
-        a = first_seen.get(aid)
-        if a is None:
-            a = first_seen[aid] = len(first_seen)
-        ship_papers.append(p)
-        ship_authors.append(a)
+        author_rows[aid].append(p)
 
     started = clock()
-    author_ids = sorted(first_seen)
-    renumber = array("i", bytes(4 * len(author_ids)))
-    for a, aid in enumerate(author_ids):
-        renumber[first_seen[aid]] = a
-    del first_seen
-    # One int per authorship, paper in the high bits: sorting them groups each
-    # paper's authors, in increasing author id, with repeated rows adjacent.
-    pairs = sorted([p << 32 | renumber[a] for p, a in zip(ship_papers, ship_authors)])
-    del ship_papers, ship_authors, renumber
-    team_of, teams, author_rows = _invert_authorships(pairs, n_papers, len(author_ids))
-    del pairs
-    paper_offsets, paper_targets = _csr(enumerate(author_rows), len(author_ids))
-    del author_rows
+    author_ids = sorted(author_rows)
+    paper_offsets, paper_targets = _csr(
+        ((a, author_rows.pop(aid)) for a, aid in enumerate(author_ids)), len(author_ids)
+    )
+    team_of, teams = _teams(paper_offsets, paper_targets, n_papers)
     finalise_s += clock() - started
 
     citer_rows: defaultdict[int, array] = defaultdict(partial(array, "i"))
@@ -314,10 +301,8 @@ def build_index(
     del paper_map, paper_of
 
     started = clock()
-    # Each buffer is deduplicated just before its row is copied and freed right
-    # after; rebuilding them all in a pass of its own adds ~4 MB to the peak.
     citer_offsets, citer_targets = _csr(
-        ((v, sorted(set(citer_rows.pop(v)))) for v in sorted(citer_rows)), n_papers
+        ((v, citer_rows.pop(v)) for v in sorted(citer_rows)), n_papers
     )
     finalise_s += clock() - started
 
@@ -348,17 +333,20 @@ def build_index(
     )
 
 
-def _csr(rows: Iterable[tuple[int, Sequence[int]]], n_rows: int) -> tuple[array, array]:
-    """CSR offsets and targets of rows 0 .. n_rows - 1 from (row id, targets) pairs.
+def _csr(rows: Iterable[tuple[int, Iterable[int]]], n_rows: int) -> tuple[array, array]:
+    """CSR offsets and targets of rows 0 .. n_rows - 1 from (row id, buffer) pairs.
 
-    The pairs come in increasing row id, each row already sorted and
-    deduplicated; a row id not given is an empty row. Each row is dropped
-    once it is copied, so a lazy `rows` frees every buffer before the next
-    one is appended.
+    The pairs come in increasing row id; a row id not given is an empty
+    row. Each buffer may hold its targets in any order and more than once:
+    it is sorted and deduplicated here, just before its row is copied, and
+    dropped right after, so a lazy `rows` frees every buffer before the next
+    one is copied. Rebuilding them all in a pass of their own adds ~4 MB to
+    the peak.
     """
     counts = [0] * (n_rows + 1)
     targets = array("i")
     for r, row in rows:
+        row = sorted(set(row))
         counts[r + 1] = len(row)
         targets.extend(row)
     return array("q", accumulate(counts)), targets
@@ -367,28 +355,25 @@ def _csr(rows: Iterable[tuple[int, Sequence[int]]], n_rows: int) -> tuple[array,
 _LOW_32 = (1 << 32) - 1
 
 
-def _invert_authorships(
-    pairs: list[int], n_papers: int, n_authors: int
-) -> tuple[array, list[tuple[int, ...]], list[array]]:
-    """team_of, teams and each author's paper buffer from sorted `paper << 32 | author` ints.
+def _teams(
+    paper_offsets: array, paper_targets: array, n_papers: int
+) -> tuple[array, list[tuple[int, ...]]]:
+    """team_of and teams read off the finished author rows.
 
-    The pairs come grouped by paper in increasing id, so each paper's team
-    and each author's row come out sorted; a repeated pair is skipped.
+    Sorting one `paper << 32 | author` int per authorship groups each
+    paper's authors, in increasing id, and the papers in increasing id, so
+    teams are numbered in the order of their first paper.
     """
+    rows = enumerate(pairwise(paper_offsets))
+    pairs = sorted([p << 32 | a for a, (lo, hi) in rows for p in paper_targets[lo:hi]])
     team_of = array("i", [-1]) * n_papers
     team_ids: dict[tuple[int, ...], int] = {}
     number = team_ids.setdefault
-    rows = [array("i") for _ in range(n_authors)]
     team: list[int] = []
     paper = -1
-    last = -1
     for pair in pairs:
-        if pair == last:
-            continue
-        last = pair
         p = pair >> 32
         a = pair & _LOW_32
-        rows[a].append(p)
         if p == paper:
             team.append(a)
             continue
@@ -398,4 +383,4 @@ def _invert_authorships(
         paper = p
     if team:
         team_of[paper] = number(tuple(team), len(team_ids))
-    return team_of, list(team_ids), rows
+    return team_of, list(team_ids)

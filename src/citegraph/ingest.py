@@ -155,21 +155,23 @@ def _malformed(source: IO, exc: csv.Error | UnicodeDecodeError, line_num: int) -
 def _error_line(source: IO[bytes], exc: csv.Error | UnicodeDecodeError) -> int | None:
     """The line of seekable `source` where the byte or record that raised `exc` starts.
 
-    A bad byte is found by decoding raw lines one at a time; a bad record by
-    a fresh reader, which decodes with replacement so that only the csv
-    error can stop it.
+    `source` is decoded again with surrogateescape, which cannot fail, and
+    split into lines as the reader splits it, at `\\n`, `\\r\\n` or a lone
+    `\\r`. A bad byte's line is the first whose text does not encode back to
+    UTF-8; a bad record's is found by a fresh reader, which only the csv
+    error can stop.
     """
     source.seek(0)
-    if isinstance(exc, UnicodeDecodeError):
-        for line, raw in enumerate(source, 1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return line
-        return None
-    text, reader = _csv_reader(source, errors="replace")
-    start = 1
+    text, reader = _csv_reader(source, errors="surrogateescape")
     try:
+        if isinstance(exc, UnicodeDecodeError):
+            for line, decoded in enumerate(text, 1):
+                try:
+                    decoded.encode("utf-8")
+                except UnicodeEncodeError:
+                    return line
+            return None
+        start = 1
         for _ in reader:
             start = reader.line_num + 1
     except csv.Error:

@@ -345,6 +345,8 @@ def _place_from_pool(
     Each round cites every paper whose count is not yet met once, in target
     order, in batches of `randint(*_CITING_BATCH)` papers; one pool paper
     cites a whole batch, and no pool paper is drawn twice for one call.
+    Round r cites the papers whose count is above r, so one list of them
+    serves every round up to the next distinct count.
     Each batch size is drawn before its citing paper. Placement stops when
     the pool gives up.
     """
@@ -356,23 +358,24 @@ def _place_from_pool(
     citing = builder.corpus.citing
     cited = builder.corpus.cited
     used: set[int] = set()
-    remaining = [(p, c) for p, c in targets if c > 0]
-    while remaining:
-        round_papers = [p for p, _ in remaining]
+    done = 0
+    for level in sorted({c for _, c in targets if c > 0}):
+        round_papers = [p for p, c in targets if c >= level]
         n = len(round_papers)
-        i = 0
-        while i < n:
-            k = getrandbits(span_bits)
-            while k >= span:
+        for _ in range(level - done):
+            i = 0
+            while i < n:
                 k = getrandbits(span_bits)
-            batch = round_papers[i : i + lo + k]
-            i += lo + k
-            u = draw(exclude_author_index, used)
-            if u is None:
-                return
-            citing.extend(repeat(u, len(batch)))
-            cited.extend(batch)
-        remaining = [(p, c - 1) for p, c in remaining if c > 1]
+                while k >= span:
+                    k = getrandbits(span_bits)
+                batch = round_papers[i : i + lo + k]
+                i += lo + k
+                u = draw(exclude_author_index, used)
+                if u is None:
+                    return
+                citing.extend(repeat(u, len(batch)))
+                cited.extend(batch)
+        done = level
 
 
 def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[array, array, list[int]]:

@@ -251,6 +251,12 @@ MALFORMED_INPUTS = {
         b"paper_\xffid,doc_type,subfield_id\np1,article,102\n",
         "papers.csv: line 1: byte 0xff is not valid UTF-8",
     ),
+    "non_utf8_lone_cr": (
+        parse_citations,
+        "citations.csv",
+        b"citing_paper_id,cited_paper_id\rp1,p2\rp2,p3\rp3,p\xff4\r",
+        "citations.csv: line 4: byte 0xff is not valid UTF-8",
+    ),
 }
 
 

@@ -68,7 +68,7 @@ def corpora(draw):
     }
     dialect = (
         draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
-        draw(st.sampled_from(["\n", "\r\n"])),
+        draw(st.sampled_from(["\n", "\r\n", "\r"])),
     )
     return paper_rows, ship_rows, edge_rows, expected, dialect
 
