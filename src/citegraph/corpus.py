@@ -20,7 +20,6 @@ string-keyed read path: callers map a string id to its int with
 from __future__ import annotations
 
 import logging
-import time
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
@@ -139,9 +138,8 @@ class CorpusIndex:
     slice each, for the a50pc oracle and the benchmark; the hot paths slice
     the arrays themselves.
 
-    `finalise_s` is the wall time build_index spent turning the collected
-    rows into the arrays: sorting and numbering the ids, sorting and
-    deduplicating each row and reading the teams off the author rows.
+    Every slot follows from the input rows and the taxonomy alone, with no
+    clock reading among them, so the same input builds equal slots.
     """
 
     __slots__ = (
@@ -160,7 +158,6 @@ class CorpusIndex:
         "dropped_unknown_edges",
         "dropped_self_loops",
         "dropped_unknown_authorships",
-        "finalise_s",
     )
 
     def __init__(self, **fields) -> None:
@@ -235,15 +232,15 @@ def build_index(
     ids are sorted and numbered, and each buffer is sorted, deduplicated
     and copied into the relation's arrays; the author rows and the teams
     read off them are done before the first citation is read. Ids are
-    stored as the rows hold them, one string per kept id.
+    stored as the rows hold them, one string per kept id. Nothing here is
+    timed: a run reads the build's own time as what its ingest and index
+    took outside every file's parse.
 
     Duplicate rows collapse. A paper_id appearing twice with a different
     doc_type or subfield_id is a hard error. Citation edges or authorships
     that reference unknown paper_ids are dropped and counted, so partial
     corpora stay analyzable.
     """
-    clock = time.perf_counter
-
     # paper_id -> (DocType, subfield_id) while reading, then -> int id. Papers
     # of one doc type and subfield share one tuple.
     paper_map: dict[str, object] = {}
@@ -257,7 +254,6 @@ def build_index(
         elif existing != kind:
             raise CorpusError(f"conflicting duplicate paper record for paper_id {pid!r}")
 
-    started = clock()
     paper_ids = sorted(paper_map)
     records = [paper_map[pid] for pid in paper_ids]
     doc_types = bytes(doc_type for doc_type, _ in records)
@@ -266,7 +262,6 @@ def build_index(
     n_papers = len(paper_ids)
     paper_map.update(zip(paper_ids, range(n_papers)))
     paper_of = paper_map.get
-    finalise_s = clock() - started
 
     author_rows: defaultdict[str, array] = defaultdict(partial(array, "i"))
     dropped_unknown_authorships = 0
@@ -277,13 +272,11 @@ def build_index(
             continue
         author_rows[aid].append(p)
 
-    started = clock()
     author_ids = sorted(author_rows)
     paper_offsets, paper_targets = _csr(
         ((a, author_rows.pop(aid)) for a, aid in enumerate(author_ids)), len(author_ids)
     )
     team_of, teams = _teams(paper_offsets, paper_targets, n_papers)
-    finalise_s += clock() - started
 
     citer_rows: defaultdict[int, array] = defaultdict(partial(array, "i"))
     dropped_unknown_edges = 0
@@ -300,11 +293,9 @@ def build_index(
         citer_rows[v].append(u)
     del paper_map, paper_of
 
-    started = clock()
     citer_offsets, citer_targets = _csr(
         ((v, citer_rows.pop(v)) for v in sorted(citer_rows)), n_papers
     )
-    finalise_s += clock() - started
 
     if dropped_unknown_edges:
         logger.warning("dropped %d citation edges referencing unknown papers", dropped_unknown_edges)
@@ -329,7 +320,6 @@ def build_index(
         dropped_unknown_edges=dropped_unknown_edges,
         dropped_self_loops=dropped_self_loops,
         dropped_unknown_authorships=dropped_unknown_authorships,
-        finalise_s=finalise_s,
     )
 
 

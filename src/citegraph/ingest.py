@@ -16,17 +16,19 @@ object per row:
     parse_authorships  (paper_id, author_id)
     parse_citations    (citing_paper_id, cited_paper_id)
 
-Each parser takes a csv reader whose header has been checked, then runs a
-single `for row in reader` loop that checks the width (by unpacking the
-row), the required ids and, for citations, drops self loops, all inline:
-one generator frame per row. Authorships and citations, the two id-pair
-files, share one such loop, `_id_pairs`. The rows read and the dropped
-rows by reason are kept in locals and written to the per-file stats when
-the loop ends or the generator is closed (the rows emitted follow from
-them), with the file's parse time from header to last row. Every
-IngestError carries the line and, when the source has a name, starts with
-it. Readers never close the stream they are given: they detach their text
-wrapper from it when they finish, fail or are closed.
+Every reader runs inside one frame, `_records`, which checks the header,
+turns a csv or decoding error into an IngestError that names the line,
+detaches its text wrapper however the reader ends, and records the file's
+parse time, from header to last row, when the reader ends normally. Inside
+it each parser runs a single `for row in reader` loop that checks the
+width (by unpacking the row), the required ids and, for citations, drops
+self loops, all inline: one generator frame per row. Authorships and
+citations, the two id-pair files, share one such loop, `_id_pairs`. The
+rows read and the dropped rows by reason are kept in locals and written to
+the per-file stats when the loop ends or the generator is closed (the rows
+emitted follow from them). Every IngestError carries the line and, when
+the source has a name, starts with it. Readers never close the stream they
+are given.
 
 Ids are yielded as read, and corpus.build_index stores them as they are.
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 import csv
 import io
 import time
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -96,28 +99,36 @@ class IngestReport:
         return self.files.setdefault(name, FileIngestStats())
 
 
-def _header_checked_reader(source: IO[bytes], expected_header: list[str]):
-    """`_csv_reader(source)` after a header check, which releases `text` if it fails."""
+@contextmanager
+def _records(source: IO[bytes], header: list[str], stats: FileIngestStats | None):
+    """The frame of every reader: yields `(reader, stats)` once `header` is checked.
+
+    `stats` is fresh when None, and its `duration_s` is set, from before
+    the header to after the last row, only when the caller's loop ends
+    normally. A csv or decoding error, in the header or any row, becomes
+    the IngestError of `_malformed`, and `text` is released however the
+    frame ends.
+    """
+    stats = stats if stats is not None else FileIngestStats()
+    start = time.perf_counter()
     text, reader = _csv_reader(source)
     try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        _release(text)
-        raise _malformed(source, exc, 1) from exc
-    except UnicodeDecodeError as exc:
-        _release(text)
+        found = next(reader, None)
+        if found is None:
+            raise IngestError(_named(source, "line 1: missing header row"))
+        if [col.strip() for col in found] != header:
+            raise IngestError(
+                _named(
+                    source,
+                    f"line 1: expected header {','.join(header)!r}, got {','.join(found)!r}",
+                )
+            )
+        yield reader, stats
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise _malformed(source, exc, reader.line_num) from exc
-    if header is not None and [col.strip() for col in header] == expected_header:
-        return text, reader
-    _release(text)
-    if header is None:
-        raise IngestError(_named(source, "line 1: missing header row"))
-    raise IngestError(
-        _named(
-            source,
-            f"line 1: expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
-        )
-    )
+    finally:
+        _release(text)
+    stats.duration_s = time.perf_counter() - start
 
 
 def _csv_reader(source: IO[bytes], errors: str = "strict"):
@@ -192,29 +203,23 @@ def _named(source: IO, message: str) -> str:
 
 def parse_papers(source: IO, stats: FileIngestStats | None = None) -> Iterator[PaperRow]:
     """Yield `(paper_id, DocType, subfield_id or None)` per data row; duplicates pass through."""
-    stats = stats if stats is not None else FileIngestStats()
-    start = time.perf_counter()
-    text, reader = _header_checked_reader(source, PAPERS_HEADER)
     doc_type_of = DocType.from_string
     rows_read = 1
-    try:
-        for row in reader:
-            try:
-                paper_id, doc_type, subfield_id = row
-            except ValueError:
-                if not row:
-                    continue
-                raise _bad_row(source, reader, f"expected 3 fields, got {len(row)}") from None
-            if not paper_id:
-                raise _bad_row(source, reader, "empty paper_id")
-            rows_read += 1
-            yield paper_id, doc_type_of(doc_type), subfield_id or None
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise _malformed(source, exc, reader.line_num) from exc
-    finally:
-        _release(text)
-        stats.rows_read += rows_read
-    stats.duration_s = time.perf_counter() - start
+    with _records(source, PAPERS_HEADER, stats) as (reader, stats):
+        try:
+            for row in reader:
+                try:
+                    paper_id, doc_type, subfield_id = row
+                except ValueError:
+                    if not row:
+                        continue
+                    raise _bad_row(source, reader, f"expected 3 fields, got {len(row)}") from None
+                if not paper_id:
+                    raise _bad_row(source, reader, "empty paper_id")
+                rows_read += 1
+                yield paper_id, doc_type_of(doc_type), subfield_id or None
+        finally:
+            stats.rows_read += rows_read
 
 
 def parse_authorships(source: IO, stats: FileIngestStats | None = None) -> Iterator[AuthorshipRow]:
@@ -238,35 +243,29 @@ def _id_pairs(
     With `drop_self_loops`, a row whose ids are equal is dropped and counted
     as a `self_loop`; the flag is read only on such a row.
     """
-    stats = stats if stats is not None else FileIngestStats()
-    start = time.perf_counter()
-    text, reader = _header_checked_reader(source, header)
     empty_id = f"empty {header[0]} or {header[1]}"
     rows_read = 1
     self_loops = 0
-    try:
-        for row in reader:
-            try:
-                first, second = row
-            except ValueError:
-                if not row:
+    with _records(source, header, stats) as (reader, stats):
+        try:
+            for row in reader:
+                try:
+                    first, second = row
+                except ValueError:
+                    if not row:
+                        continue
+                    raise _bad_row(source, reader, f"expected 2 fields, got {len(row)}") from None
+                if not first or not second:
+                    raise _bad_row(source, reader, empty_id)
+                rows_read += 1
+                if first == second and drop_self_loops:
+                    self_loops += 1
                     continue
-                raise _bad_row(source, reader, f"expected 2 fields, got {len(row)}") from None
-            if not first or not second:
-                raise _bad_row(source, reader, empty_id)
-            rows_read += 1
-            if first == second and drop_self_loops:
-                self_loops += 1
-                continue
-            yield first, second
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise _malformed(source, exc, reader.line_num) from exc
-    finally:
-        _release(text)
-        stats.rows_read += rows_read
-        if self_loops:
-            stats.dropped["self_loop"] = stats.dropped.get("self_loop", 0) + self_loops
-    stats.duration_s = time.perf_counter() - start
+                yield first, second
+        finally:
+            stats.rows_read += rows_read
+            if self_loops:
+                stats.dropped["self_loop"] = stats.dropped.get("self_loop", 0) + self_loops
 
 
 def read_rows(
@@ -276,25 +275,19 @@ def read_rows(
 
     Blank lines are skipped; every error is an IngestError that names the line.
     """
-    stats = stats if stats is not None else FileIngestStats()
-    start = time.perf_counter()
-    text, reader = _header_checked_reader(source, header)
     width = len(header)
     rows_read = 1
-    try:
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise _bad_row(source, reader, f"expected {width} fields, got {len(row)}")
-            rows_read += 1
-            yield reader.line_num, row
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise _malformed(source, exc, reader.line_num) from exc
-    finally:
-        _release(text)
-        stats.rows_read += rows_read
-    stats.duration_s = time.perf_counter() - start
+    with _records(source, header, stats) as (reader, stats):
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise _bad_row(source, reader, f"expected {width} fields, got {len(row)}")
+                rows_read += 1
+                yield reader.line_num, row
+        finally:
+            stats.rows_read += rows_read
 
 
 def parse_taxonomy(source: IO[bytes], stats: FileIngestStats | None = None) -> FieldTaxonomy:

@@ -266,4 +266,7 @@ def round_sig2(value: Fraction | float | int) -> Decimal:
         dec = Decimal(value.numerator) / Decimal(value.denominator)
     else:
         dec = Decimal(repr(float(value)))
-    return dec.quantize(Decimal(1).scaleb(dec.adjusted() - 1), rounding=ROUND_HALF_EVEN)
+    q = dec.quantize(Decimal(1).scaleb(dec.adjusted() - 1), rounding=ROUND_HALF_EVEN)
+    if q.adjusted() > dec.adjusted():  # carried into the next power of ten: 10.0 -> 10
+        q = q.quantize(Decimal(1).scaleb(q.adjusted() - 1))
+    return q

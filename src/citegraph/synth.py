@@ -423,14 +423,10 @@ def _build_background(builder: _Builder, cfg: SynthConfig) -> tuple[array, array
 
 
 def _cite_background(
-    builder: _Builder,
-    cfg: SynthConfig,
-    starts: array,
-    papers: array,
-    h_by_author: list[int],
+    builder: _Builder, cfg: SynthConfig, pool: _CitingPool, h_by_author: list[int]
 ) -> None:
     rng = builder.rng
-    pool = _CitingPool(rng, starts, papers)
+    starts, papers = pool.starts, pool.papers
     n_established = cfg.n_established
     for i, h in enumerate(h_by_author):
         full = papers[starts[i] : starts[i + 1]]
@@ -510,11 +506,8 @@ def _build_cartels(builder: _Builder, cfg: SynthConfig) -> None:
                 corpus.cited.extend(top)
 
 
-def _build_hyperteams(
-    builder: _Builder, cfg: SynthConfig, pool_starts: array, pool_papers: array
-) -> None:
+def _build_hyperteams(builder: _Builder, cfg: SynthConfig, pool: _CitingPool) -> None:
     corpus = builder.corpus
-    pool = _CitingPool(builder.rng, pool_starts, pool_papers)
     for t in range(cfg.n_hyperteams):
         group = f"team{t:02d}"
         members = [f"t{t:02d}m{k:02d}" for k in range(cfg.team_size)]
@@ -547,10 +540,11 @@ def generate(cfg: SynthConfig) -> SynthCorpus:
     """Build the full synthetic corpus for a config; same config, same corpus."""
     builder = _Builder(rng=random.Random(cfg.seed), corpus=SynthCorpus(default_taxonomy()))
     starts, papers, background_h = _build_background(builder, cfg)
+    pool = _CitingPool(builder.rng, starts, papers)
     _build_self_citers(builder, cfg)
     _build_cartels(builder, cfg)
-    _build_hyperteams(builder, cfg, starts, papers)
-    _cite_background(builder, cfg, starts, papers, background_h)
+    _build_hyperteams(builder, cfg, pool)
+    _cite_background(builder, cfg, pool, background_h)
     builder.corpus.truth = GroundTruth(labels=builder.labels)
     return builder.corpus
 

@@ -116,6 +116,10 @@ def test_cooccur_rounded_cells_are_plain_decimals():
     assert [cli._cell(Decimal(v)) for v in ("0.09", "7.0", "1.2E-7", "0")] == [
         "0.09", "7.0", "0.00000012", "0",
     ]
+    # rounding that carries into the next power of ten keeps two figures
+    assert [cli._cell(stats.round_sig2(v)) for v in (9.96, 0.0996, 0.995, 99.7)] == [
+        "10", "0.10", "1.0", "100",
+    ]
 
 
 def _exact_cell(num: int, den: int, places: int) -> str:
@@ -719,6 +723,9 @@ def test_ingest_file_durations_are_disjoint(run_dir):
     # each value is rounded to 1 ms, so allow half of that per file
     record_files = per_file["papers"] + per_file["authorships"] + per_file["citations"]
     assert record_files <= timings["stages_s"]["ingest_and_index"] + 3 * 0.0005
+    # index_finalise is ingest_and_index less the four file times: six rounded values
+    outside = timings["stages_s"]["ingest_and_index"] - sum(per_file.values())
+    assert timings["stages_s"]["index_finalise"] == pytest.approx(outside, abs=6 * 0.0005)
     assert "threads" not in timings
 
 

@@ -287,6 +287,11 @@ def test_non_utf8_error_in_a_stream_that_cannot_seek_keeps_the_readers_line():
     with pytest.raises(IngestError) as exc:
         list(parse_authorships(stream))
     assert str(exc.value) == "after line 0: byte 0xff is not valid UTF-8"
+    # a header that opens a quote it never closes: the line the reader reached
+    stream = _UnseekableStream(b'"paper_id,author_id\np1,a1\np2,a2\n')
+    with pytest.raises(IngestError) as exc:
+        list(parse_authorships(stream))
+    assert str(exc.value) == "line 3: malformed CSV: unexpected end of data"
 
 
 def test_stats_are_recorded_when_parser_is_closed_early():
@@ -303,28 +308,37 @@ def test_emitted_is_zero_before_a_header_is_read():
     assert FileIngestStats().emitted == 0
 
 
-_HEADER = b"citing_paper_id,cited_paper_id\n"
+#: Each reader with its own header and one data row.
+_READERS = {
+    "parse_papers": (parse_papers, b"paper_id,doc_type,subfield_id\n", b"p1,article,102\n"),
+    "parse_authorships": (parse_authorships, b"paper_id,author_id\n", b"p1,a1\n"),
+    "parse_citations": (parse_citations, b"citing_paper_id,cited_paper_id\n", b"p1,p2\n"),
+    "read_rows": (
+        lambda source: read_rows(source, ["citing_paper_id", "cited_paper_id"]),
+        b"citing_paper_id,cited_paper_id\n",
+        b"p1,p2\n",
+    ),
+}
 
-#: Each reader, every way it can end: (input bytes, rows to take before closing, or None for all).
+#: Every way a reader can end: (input bytes from its header and row, rows to
+#: take before closing, or None for all).
 _STREAM_ENDINGS = {
-    "full_read": (_HEADER + b"p1,p2\np3,p4\n", None),
-    "early_close": (_HEADER + b"p1,p2\np3,p4\n", 1),
-    "short_row": (_HEADER + b"p1\n", None),
-    "bad_byte": (_HEADER + b"p\xff1,p2\n", None),
-    "stray_quote": (_HEADER + b'p1,p2\n"p3,p4\n', None),
-    "wrong_header": (b"citing,cited\np1,p2\n", None),
-    "empty_file": (b"", None),
+    "full_read": (lambda header, row: header + row + row, None),
+    "early_close": (lambda header, row: header + row + row, 1),
+    "short_row": (lambda header, row: header + b"p1\n", None),
+    "bad_byte": (lambda header, row: header + b"\xff" + row, None),
+    "stray_quote": (lambda header, row: header + row + b'"' + row, None),
+    "wrong_header": (lambda header, row: b"first,second\n" + row, None),
+    "empty_file": (lambda header, row: b"", None),
 }
 
 
-@pytest.mark.parametrize(
-    "read",
-    [parse_citations, lambda source: read_rows(source, ["citing_paper_id", "cited_paper_id"])],
-    ids=["parse_citations", "read_rows"],
-)
+@pytest.mark.parametrize("reader", sorted(_READERS))
 @pytest.mark.parametrize("ending", sorted(_STREAM_ENDINGS))
-def test_readers_leave_the_callers_stream_open(read, ending):
-    data, take = _STREAM_ENDINGS[ending]
+def test_readers_leave_the_callers_stream_open(reader, ending):
+    read, header, row = _READERS[reader]
+    make_data, take = _STREAM_ENDINGS[ending]
+    data = make_data(header, row)
     stream = io.BytesIO(data)
     rows = read(stream)
     failed = False
