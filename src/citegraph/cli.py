@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -176,16 +177,19 @@ def _data_quality(index: CorpusIndex) -> dict[str, int]:
     }
 
 
-def _vm_hwm_mb() -> float | None:
-    """This process's peak resident set so far (VmHWM), or None where /proc is missing."""
+def _memory_mb() -> tuple[float | None, float | None]:
+    """This process's (VmHWM, VmRSS) in MB: its peak resident set so far and
+    its resident set now; (None, None) where /proc is missing."""
+    found: dict[str, float] = {}
     try:
         with open("/proc/self/status", encoding="ascii") as fh:
             for line in fh:
-                if line.startswith("VmHWM:"):
-                    return round(int(line.split()[1]) / 1024.0, 1)
+                key, _, value = line.partition(":")
+                if key in ("VmHWM", "VmRSS"):
+                    found[key] = round(int(value.split()[0]) / 1024.0, 1)
     except OSError:
         pass
-    return None
+    return found.get("VmHWM"), found.get("VmRSS")
 
 
 def run_pipeline(cfg: RunConfig) -> Path:
@@ -194,27 +198,32 @@ def run_pipeline(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     timings: dict[str, float] = {}
     stages_peak: dict[str, float | None] = {}
+    stages_rss: dict[str, float | None] = {}
     t_total = time.perf_counter()
+
+    def end_stage(name: str, start: float) -> None:
+        timings[name] = time.perf_counter() - start
+        stages_peak[name], stages_rss[name] = _memory_mb()
 
     report = ingest_mod.IngestReport()
     t = time.perf_counter()
     index = _parse_inputs(cfg, report)
-    timings["ingest_and_index"] = time.perf_counter() - t
+    end_stage("ingest_and_index", t)
     # the part outside every file's parse: numbering, CSR rows, teams, file opens
     timings["index_finalise"] = timings["ingest_and_index"] - sum(
         st.duration_s for st in report.files.values()
     )
-    stages_peak["ingest_and_index"] = _vm_hwm_mb()
 
     t = time.perf_counter()
     cohort = cohort_mod.eligible_authors(index, cfg.eligibility)
-    timings["cohort"] = time.perf_counter() - t
-    stages_peak["cohort"] = _vm_hwm_mb()
+    end_stage("cohort", t)
 
     t = time.perf_counter()
-    all_metrics = metrics_mod.compute_all_metrics(index, cohort, a50_threshold=cfg.a50_threshold)
-    timings["metrics"] = time.perf_counter() - t
-    stages_peak["metrics"] = _vm_hwm_mb()
+    indicator_times = metrics_mod.IndicatorTimes()
+    all_metrics = metrics_mod.compute_all_metrics(
+        index, cohort, a50_threshold=cfg.a50_threshold, times=indicator_times
+    )
+    end_stage("metrics", t)
 
     # Every report table is computed before the output directory is made, so
     # a run that fails leaves no directory and no partial report set behind.
@@ -280,8 +289,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     checksums = {
         name: _write_csv(out / name, header, rows) for name, (header, rows) in tables.items()
     }
-    timings["reports"] = time.perf_counter() - t
-    stages_peak["reports"] = _vm_hwm_mb()
+    end_stage("reports", t)
 
     manifest = {
         "schema": "citegraph-run-manifest@1",
@@ -332,10 +340,21 @@ def run_pipeline(cfg: RunConfig) -> Path:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     timings["total"] = time.perf_counter() - t_total
+    a50pc_s = indicator_times.a50pc_greedy_s
     runtime = {
         "stages_s": {k: round(v, 3) for k, v in timings.items()},
-        "peak_rss_mb": _vm_hwm_mb(),
+        "metrics_s": {
+            "h_index_c_over_h2": round(indicator_times.h_c_over_h2_s, 3),
+            "a50pc_greedy": round(sum(a50pc_s), 3),
+            "a50_coauthors": round(indicator_times.a50_coauthors_s, 3),
+        },
+        "a50pc_greedy_ms": {
+            "p50": round(statistics.median(a50pc_s) * 1000, 3) if a50pc_s else None,
+            "max": round(max(a50pc_s) * 1000, 3) if a50pc_s else None,
+        },
+        "peak_rss_mb": _memory_mb()[0],
         "stages_peak_rss_mb": stages_peak,
+        "stages_rss_mb": stages_rss,
         "ingest_file_s": {
             name: round(st.duration_s, 3) for name, st in sorted(report.files.items())
         },

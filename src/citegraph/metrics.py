@@ -20,10 +20,18 @@ a50pc and a50 work over teams, the distinct author tuples the index numbers,
 rather than over every (paper, author) pair: papers of the same team are
 merged and their weights summed, which on large teams collapses most of the
 work. Both read the index's int arrays directly; authors are compared by int
-id, which orders them as their string ids do. a50pc is a lazy greedy
-max-coverage over the teams (Minoux 1978); a50pc_oracle is the naive
-reference it is cross-checked against. It reads the same index by int id,
-one row at a time, and names its selections by string id.
+id, which orders them as their string ids do. a50pc is a greedy max-coverage
+over the teams. A candidate whose only citing team is its own single-author
+team has a fixed contribution, since no other selection consumes that team:
+those are taken from one sort. Only the members of multi-author teams go
+through a lazy greedy heap (Minoux 1978), and the two streams are merged by
+(-contribution, id). When no citing team has two authors, the count is a
+prefix of the sorted team weights. a50pc_oracle is the naive reference it
+is cross-checked against. It reads the same index by int id, one row at a
+time, and names its selections by string id.
+
+compute_author_metrics can add the time spent in each indicator to an
+IndicatorTimes record, for timings.json.
 
 All operations are pure reads over the index, so each author's values do not
 depend on which other authors are computed, or in what order.
@@ -32,10 +40,12 @@ depend on which other authors are computed, or in what order.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
+from time import perf_counter
 from typing import Iterable, Mapping
 
 from .corpus import FULL_PAPER_TYPES, CorpusIndex
@@ -136,19 +146,30 @@ def a50pc_greedy(index: CorpusIndex, full: list[int]) -> int:
 
     Citing papers with the same author tuple (one team id in the index) are
     merged into one group whose weight is their summed citation edges;
-    papers without authors join no group. Selection is then a lazy greedy
-    max-coverage over the groups (Minoux 1978, "Accelerated greedy
-    algorithms for maximizing submodular set functions"): a heap holds one
-    (-contribution, author) entry per candidate, consuming a group only
-    lowers its members' contributions, and a popped entry whose value has
-    gone stale is pushed back with its current value instead of being
-    selected. Authors are int ids, ordered as their string ids. Both steps
-    are exact:
+    papers without authors join no group. Candidates then split in two:
+
+    - A candidate in no multi-author group has a fixed contribution, the
+      weight of its own single-author group: no other selection consumes
+      that group. These are taken in one sort by (-contribution, id). When
+      every group is single-author, the count is the shortest prefix of the
+      weights, largest first, that explains half, and nothing else is built.
+    - A candidate in some multi-author group goes into a lazy greedy
+      max-coverage heap (Minoux 1978, "Accelerated greedy algorithms for
+      maximizing submodular set functions"), its single-author group's
+      weight folded into its contribution. The heap holds one
+      (-contribution, author) entry per such candidate; consuming a group
+      only lowers its members' contributions, and an entry whose value has
+      gone stale is pushed back with its current value.
+
+    Each step takes the smaller of the current heap top and the head of the
+    fixed list, so the tie-break by id holds across both. Authors are int
+    ids, ordered as their string ids. Every step is exact:
 
     - any selection consumes all papers of a group together, and they add the
       same amount to each candidate's gain, so merging changes no selection;
-    - contributions only fall, so a popped entry whose value is current ties
-      or beats every other candidate, and ties still go to the smaller id.
+    - a fixed contribution never changes, so the sorted list stays in order;
+    - heap contributions only fall, so a heap top whose value is current ties
+      or beats every other heap entry, and ties still go to the smaller id.
 
     See a50pc_oracle for the from-scratch reference used to cross-check it.
     """
@@ -169,30 +190,49 @@ def a50pc_greedy(index: CorpusIndex, full: list[int]) -> int:
         )
 
     teams = index.teams
+    half = total - total // 2  # the least explained count with 2 * explained >= total
+    if max(map(len, map(teams.__getitem__, weights))) == 1:
+        return bisect_left(list(accumulate(sorted(weights.values(), reverse=True))), half) + 1
+
+    fixed: dict[int, int] = {}
     contrib: dict[int, int] = {}
     groups_of: dict[int, list[int]] = {}
     for team, k in weights.items():
-        for x in teams[team]:
+        members = teams[team]
+        if len(members) == 1:
+            fixed[members[0]] = k
+            continue
+        for x in members:
             contrib[x] = contrib.get(x, 0) + k
             groups_of.setdefault(x, []).append(team)
+    for x in contrib:
+        contrib[x] += fixed.pop(x, 0)
 
+    ranked = sorted([(-k, x) for x, k in fixed.items()])
     heap = [(-c, x) for x, c in contrib.items()]
     heapq.heapify(heap)
     explained = 0
     selections = 0
-    while 2 * explained < total:
-        neg, x = heapq.heappop(heap)
-        current = contrib[x]
-        if current != -neg:
-            heapq.heappush(heap, (-current, x))
-            continue
-        explained += current
+    i = 0
+    while explained < half:
         selections += 1
-        for team in groups_of[x]:
-            k = weights.pop(team, 0)
-            if k:
-                for y in teams[team]:
-                    contrib[y] -= k
+        while heap:
+            neg, x = top = heap[0]
+            current = contrib[x]
+            if current == -neg:
+                break
+            heapq.heapreplace(heap, (-current, x))
+        if heap and (i == len(ranked) or top < ranked[i]):
+            heapq.heappop(heap)
+            explained += current
+            for team in groups_of[x]:
+                k = weights.pop(team, 0)
+                if k:
+                    for y in teams[team]:
+                        contrib[y] -= k
+        else:
+            explained -= ranked[i][0]
+            i += 1
     return selections
 
 
@@ -263,43 +303,76 @@ def a50_coauthors(
     return sum(1 for n in shared_coauthor_counts(index, author, full).values() if n > threshold)
 
 
+@dataclass(slots=True)
+class IndicatorTimes:
+    """Wall seconds compute_author_metrics spends in each indicator, summed
+    over the authors it is handed: h_index with c_over_h2, and a50_coauthors;
+    a50pc_greedy keeps one entry per author. Timing facts only: no report
+    value depends on them."""
+
+    h_c_over_h2_s: float = 0.0
+    a50pc_greedy_s: list[float] = field(default_factory=list)
+    a50_coauthors_s: float = 0.0
+
+
 def compute_author_metrics(
-    index: CorpusIndex, cohort_author: CohortAuthor, *, a50_threshold: int = A50_THRESHOLD
+    index: CorpusIndex,
+    cohort_author: CohortAuthor,
+    *,
+    a50_threshold: int = A50_THRESHOLD,
+    times: IndicatorTimes | None = None,
 ) -> AuthorMetrics:
     """Every indicator of one cohort author, from the full papers and citation
     counts in their record; neither is read again, nor changed. An
-    UndefinedMetricError from any indicator is re-raised naming the author."""
+    UndefinedMetricError from any indicator is re-raised naming the author.
+    With `times`, the time spent in each indicator is added to it."""
     author = cohort_author.author
     author_id = index.author_ids[author]
     full = cohort_author.full
     citations = sum(cohort_author.counts)
-    h = h_index(cohort_author.counts)
     try:
-        return AuthorMetrics(
-            author_id=author_id,
-            n_full_papers=len(full),
-            citations=citations,
-            h_index=h,
-            c_over_h2=c_over_h2(citations, h),
-            a50pc=a50pc_greedy(index, full),
-            a50=a50_coauthors(index, author, full, a50_threshold),
-            field_id=cohort_author.field[0],
-            subfield_id=cohort_author.field[1],
-        )
+        t0 = perf_counter()
+        h = h_index(cohort_author.counts)
+        ratio = c_over_h2(citations, h)
+        t1 = perf_counter()
+        a50pc = a50pc_greedy(index, full)
+        t2 = perf_counter()
+        a50 = a50_coauthors(index, author, full, a50_threshold)
+        t3 = perf_counter()
     except UndefinedMetricError as exc:
         raise UndefinedMetricError(f"author {author_id!r}: {exc}") from exc
+    if times is not None:
+        times.h_c_over_h2_s += t1 - t0
+        times.a50pc_greedy_s.append(t2 - t1)
+        times.a50_coauthors_s += t3 - t2
+    return AuthorMetrics(
+        author_id=author_id,
+        n_full_papers=len(full),
+        citations=citations,
+        h_index=h,
+        c_over_h2=ratio,
+        a50pc=a50pc,
+        a50=a50,
+        field_id=cohort_author.field[0],
+        subfield_id=cohort_author.field[1],
+    )
 
 
 def compute_all_metrics(
-    index: CorpusIndex, cohort: Mapping[str, CohortAuthor], *, a50_threshold: int = A50_THRESHOLD
+    index: CorpusIndex,
+    cohort: Mapping[str, CohortAuthor],
+    *,
+    a50_threshold: int = A50_THRESHOLD,
+    times: IndicatorTimes | None = None,
 ) -> dict[str, AuthorMetrics]:
     """Metrics for every cohort author, keyed and computed in sorted author order.
 
     `cohort` maps author ids to CohortAuthor records, as eligible_authors
-    returns it. The GIL serialises this pure-Python work, so it runs on one thread: a
-    thread pool here measured slower than the plain loop.
+    returns it; `times`, when given, collects the time spent in each
+    indicator. The GIL serialises this pure-Python work, so it runs on one
+    thread: a thread pool here measured slower than the plain loop.
     """
     return {
-        a: compute_author_metrics(index, cohort[a], a50_threshold=a50_threshold)
+        a: compute_author_metrics(index, cohort[a], a50_threshold=a50_threshold, times=times)
         for a in sorted(cohort)
     }
