@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import statistics
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -219,10 +218,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     end_stage("cohort", t)
 
     t = time.perf_counter()
-    indicator_times = metrics_mod.IndicatorTimes()
-    all_metrics = metrics_mod.compute_all_metrics(
-        index, cohort, a50_threshold=cfg.a50_threshold, times=indicator_times
-    )
+    all_metrics = metrics_mod.compute_all_metrics(index, cohort, a50_threshold=cfg.a50_threshold)
     end_stage("metrics", t)
 
     # Every report table is computed before the output directory is made, so
@@ -340,18 +336,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     timings["total"] = time.perf_counter() - t_total
-    a50pc_s = indicator_times.a50pc_greedy_s
     runtime = {
         "stages_s": {k: round(v, 3) for k, v in timings.items()},
-        "metrics_s": {
-            "h_index_c_over_h2": round(indicator_times.h_c_over_h2_s, 3),
-            "a50pc_greedy": round(sum(a50pc_s), 3),
-            "a50_coauthors": round(indicator_times.a50_coauthors_s, 3),
-        },
-        "a50pc_greedy_ms": {
-            "p50": round(statistics.median(a50pc_s) * 1000, 3) if a50pc_s else None,
-            "max": round(max(a50pc_s) * 1000, 3) if a50pc_s else None,
-        },
         "peak_rss_mb": _memory_mb()[0],
         "stages_peak_rss_mb": stages_peak,
         "stages_rss_mb": stages_rss,
