@@ -195,6 +195,9 @@ def run_pipeline(cfg: RunConfig) -> Path:
     """Execute the full pipeline; returns the output directory."""
     specs = cfg.tail_specs()  # rejects a bad percentile before any work is done
     out = Path(cfg.out_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise CitegraphError(f"--out {out}: {existing} is not a directory")
     timings: dict[str, float] = {}
     stages_peak: dict[str, float | None] = {}
     stages_rss: dict[str, float | None] = {}
@@ -207,6 +210,11 @@ def run_pipeline(cfg: RunConfig) -> Path:
     report = ingest_mod.IngestReport()
     t = time.perf_counter()
     index = _parse_inputs(cfg, report)
+    unknown = sorted(f for f in cfg.excluded_fields if index.taxonomy.field_name(f) is None)
+    if unknown:
+        raise CitegraphError(
+            f"--exclude-field {', '.join(unknown)}: not a field_id of {cfg.taxonomy_path}"
+        )
     end_stage("ingest_and_index", t)
     # the part outside every file's parse: numbering, CSR rows, teams, file opens
     timings["index_finalise"] = timings["ingest_and_index"] - sum(

@@ -1,6 +1,6 @@
 """Per-author citation indicators computed against a CorpusIndex.
 
-Four computed quantities per author (column names match metrics.csv):
+Five computed quantities per author (column names match metrics.csv):
 
     citations   number of citation edges received by the author's full papers
     h_index     largest h with at least h papers cited at least h times
@@ -22,13 +22,12 @@ merged and their weights summed, which on large teams collapses most of the
 work. Both read the index's int arrays directly; authors are compared by int
 id, which orders them as their string ids do. a50pc is a greedy max-coverage
 over the teams. A candidate whose only citing team is its own single-author
-team has a fixed contribution, since no other selection consumes that team:
-those are taken from one sort. Only the members of multi-author teams go
-through a lazy greedy heap (Minoux 1978), and the two streams are merged by
-(-contribution, id). When no citing team has two authors, the count is a
-prefix of the sorted team weights. a50pc_oracle is the naive reference it
-is cross-checked against. It reads the same index by int id, one row at a
-time, and names its selections by string id.
+team has a fixed contribution, since no other selection consumes that team.
+Only the members of multi-author teams go through a lazy greedy heap
+(Minoux 1978). The count is the shortest prefix of all the gains, fixed and
+heap, sorted largest first, that explains half. a50pc_oracle is the naive
+reference it is cross-checked against. It reads the same index by int id,
+one row at a time, and names its selections by string id.
 
 All operations are pure reads over the index, so each author's values do not
 depend on which other authors are computed, or in what order.
@@ -142,35 +141,42 @@ def a50pc_greedy(index: CorpusIndex, full: list[int]) -> int:
 
     Citing papers with the same author tuple (one team id in the index) are
     merged into one group whose weight is their summed citation edges;
-    papers without authors join no group. Candidates then split in two:
+    papers without authors join no group. Any selection consumes all papers
+    of a group together, and they add the same amount to each candidate's
+    gain, so merging changes no selection. Candidates then split in two:
 
     - A candidate in no multi-author group has a fixed contribution, the
       weight of its own single-author group: no other selection consumes
-      that group. These are taken in one sort by (-contribution, id). When
-      every group is single-author, the count is the shortest prefix of the
-      weights, largest first, that explains half, and nothing else is built.
-      The general path gives the same count there, but slower: over the
-      `dense` bench cohort (seed 1, Python 3.11, 2-core VM) a50pc took
-      0.101 s with this shortcut and 0.139 s without it; on `collab`, whose
-      multi-author teams pay the extra pass over the weights, 0.052 s
-      against 0.054 s.
+      that group. Each goes straight into the list of gains.
     - A candidate in some multi-author group goes into a lazy greedy
       max-coverage heap (Minoux 1978, "Accelerated greedy algorithms for
       maximizing submodular set functions"), its single-author group's
       weight folded into its contribution. The heap holds one
       (-contribution, author) entry per such candidate; consuming a group
       only lowers its members' contributions, and an entry whose value has
-      gone stale is pushed back with its current value.
+      gone stale is pushed back with its current value. Each selection
+      appends its gain to the list, until `unassigned`, the attributed
+      weight not yet in the list, is 0.
 
-    Each step takes the smaller of the current heap top and the head of the
-    fixed list, so the tie-break by id holds across both. Authors are int
-    ids, ordered as their string ids. Every step is exact:
+    The count is the length of the shortest prefix of the gains, largest
+    first, that explains half. It is the greedy's count because:
 
-    - any selection consumes all papers of a group together, and they add the
-      same amount to each candidate's gain, so merging changes no selection;
-    - a fixed contribution never changes, so the sorted list stays in order;
-    - heap contributions only fall, so a heap top whose value is current ties
-      or beats every other heap entry, and ties still go to the smaller id.
+    - selecting a fixed candidate changes no other contribution, so fixed
+      and heap selections commute;
+    - heap contributions only fall, so the heap's gains come out
+      non-increasing;
+    - so the greedy's gains, in selection order, are the union of the two
+      sorted in descending order; which side of a tie goes first does not
+      change the prefix length;
+    - while `unassigned` is positive, some unconsumed group or own weight
+      still sits with a candidate in the heap, so the heap is never empty;
+      once it is 0, every remaining contribution is 0.
+
+    When every group is single-author, the gains are the weights themselves,
+    and the check for that case skips the loop that splits the candidates:
+    it would be a Python step per single-author group, and most cohort
+    authors have nothing else. Authors are int ids, ordered as their string
+    ids, and ties go to the smaller one.
 
     See a50pc_oracle for the from-scratch reference used to cross-check it.
     """
@@ -192,49 +198,41 @@ def a50pc_greedy(index: CorpusIndex, full: list[int]) -> int:
 
     teams = index.teams
     half = total - total // 2  # the least explained count with 2 * explained >= total
-    if max(map(len, map(teams.__getitem__, weights))) == 1:
-        return bisect_left(list(accumulate(sorted(weights.values(), reverse=True))), half) + 1
+    gains = weights.values()
+    if max(map(len, map(teams.__getitem__, weights))) > 1:
+        fixed: dict[int, int] = {}
+        contrib: dict[int, int] = {}
+        groups_of: dict[int, list[int]] = {}
+        for team, k in weights.items():
+            members = teams[team]
+            if len(members) == 1:
+                fixed[members[0]] = k
+                continue
+            for x in members:
+                contrib[x] = contrib.get(x, 0) + k
+                groups_of.setdefault(x, []).append(team)
+        for x in contrib:
+            contrib[x] += fixed.pop(x, 0)
 
-    fixed: dict[int, int] = {}
-    contrib: dict[int, int] = {}
-    groups_of: dict[int, list[int]] = {}
-    for team, k in weights.items():
-        members = teams[team]
-        if len(members) == 1:
-            fixed[members[0]] = k
-            continue
-        for x in members:
-            contrib[x] = contrib.get(x, 0) + k
-            groups_of.setdefault(x, []).append(team)
-    for x in contrib:
-        contrib[x] += fixed.pop(x, 0)
-
-    ranked = sorted([(-k, x) for x, k in fixed.items()])
-    heap = [(-c, x) for x, c in contrib.items()]
-    heapq.heapify(heap)
-    explained = 0
-    selections = 0
-    i = 0
-    while explained < half:
-        selections += 1
-        while heap:
-            neg, x = top = heap[0]
+        gains = list(fixed.values())
+        unassigned = total - unattributed - sum(gains)  # attributed weight not in gains
+        heap = [(-c, x) for x, c in contrib.items()]
+        heapq.heapify(heap)
+        while unassigned:
+            neg, x = heap[0]
             current = contrib[x]
-            if current == -neg:
-                break
-            heapq.heapreplace(heap, (-current, x))
-        if heap and (i == len(ranked) or top < ranked[i]):
+            if current != -neg:
+                heapq.heapreplace(heap, (-current, x))
+                continue
             heapq.heappop(heap)
-            explained += current
+            gains.append(current)
+            unassigned -= current
             for team in groups_of[x]:
                 k = weights.pop(team, 0)
                 if k:
                     for y in teams[team]:
                         contrib[y] -= k
-        else:
-            explained -= ranked[i][0]
-            i += 1
-    return selections
+    return bisect_left(list(accumulate(sorted(gains, reverse=True))), half) + 1
 
 
 def a50pc_oracle_selections(index: CorpusIndex, author_id: str) -> list[tuple[str, int]]:

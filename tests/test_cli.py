@@ -559,6 +559,27 @@ def test_negative_a50_threshold_fails_before_any_work(corpus_dir, tmp_path, caps
     assert not out.exists()
 
 
+def test_unknown_exclude_field_fails_and_writes_nothing(corpus_dir, tmp_path, capsys):
+    """A typo in --exclude-field would otherwise leave the a50pc and a50
+    tails unexcluded without a word."""
+    out = tmp_path / "out"
+    flags = ("--exclude-field", "NOPE", "--exclude-field", "F04", "--exclude-field", "F99")
+    assert main(_run_args(corpus_dir, out, flags)) == 2
+    taxonomy = corpus_dir / "taxonomy.csv"
+    expected = f"error: --exclude-field F99, NOPE: not a field_id of {taxonomy}\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [(), ("report",)])
+def test_out_at_or_under_a_file_fails_before_any_work(corpus_dir, capsys, monkeypatch, below):
+    monkeypatch.setattr(cli, "_parse_inputs", lambda *args: pytest.fail("inputs were parsed"))
+    papers = corpus_dir / "papers.csv"
+    out = papers.joinpath(*below)
+    assert main(_run_args(corpus_dir, out)) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: {papers} is not a directory\n"
+
+
 def test_outputs_identical_across_separate_processes(tmp_path):
     """Fresh interpreters get different hash seeds; outputs must not care."""
     import os
