@@ -144,11 +144,19 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 
 
 def _parse_inputs(cfg: RunConfig, report: ingest_mod.IngestReport) -> CorpusIndex:
+    """The index of the four input files. The taxonomy is read first, so an
+    --exclude-field id that is not among its field_ids fails before any
+    record file is opened."""
     for role in INPUT_ROLES:
         _require_file(getattr(cfg, f"{role}_path"), role)
 
     with open(cfg.taxonomy_path, "rb") as fh:
         taxonomy = ingest_mod.parse_taxonomy(fh, report.stats_for("taxonomy"))
+    unknown = sorted(f for f in cfg.excluded_fields if taxonomy.field_name(f) is None)
+    if unknown:
+        raise CitegraphError(
+            f"--exclude-field {', '.join(unknown)}: not a field_id of {cfg.taxonomy_path}"
+        )
 
     # The three record parsers are generators; consume them inside the open.
     with open(cfg.papers_path, "rb") as fp, open(cfg.authorships_path, "rb") as fa, open(
@@ -160,20 +168,6 @@ def _parse_inputs(cfg: RunConfig, report: ingest_mod.IngestReport) -> CorpusInde
             ingest_mod.parse_citations(fc, report.stats_for("citations")),
             taxonomy,
         )
-
-
-def _data_quality(index: CorpusIndex) -> dict[str, int]:
-    """Counts of input that is kept but left out of some computation.
-
-    A paper whose subfield_id is not in the taxonomy counts toward its
-    authors' papers and citations but is left out of their field vote.
-    """
-    lookup = index.taxonomy.lookup
-    unknown = {s for s in set(index.subfields) if s is not None and lookup(s) is None}
-    return {
-        "papers_with_unknown_subfield": sum(map(unknown.__contains__, index.subfields)),
-        "unknown_subfield_ids": len(unknown),
-    }
 
 
 def _memory_mb() -> tuple[float | None, float | None]:
@@ -210,11 +204,6 @@ def run_pipeline(cfg: RunConfig) -> Path:
     report = ingest_mod.IngestReport()
     t = time.perf_counter()
     index = _parse_inputs(cfg, report)
-    unknown = sorted(f for f in cfg.excluded_fields if index.taxonomy.field_name(f) is None)
-    if unknown:
-        raise CitegraphError(
-            f"--exclude-field {', '.join(unknown)}: not a field_id of {cfg.taxonomy_path}"
-        )
     end_stage("ingest_and_index", t)
     # the part outside every file's parse: numbering, CSR rows, teams, file opens
     timings["index_finalise"] = timings["ingest_and_index"] - sum(
@@ -327,7 +316,10 @@ def run_pipeline(cfg: RunConfig) -> Path:
             "dropped_unknown_authorships": index.dropped_unknown_authorships,
         },
         "cohort": {"n_eligible": len(all_metrics)},
-        "data_quality": _data_quality(index),
+        "data_quality": {
+            "papers_with_unknown_subfield": index.papers_with_unknown_subfield,
+            "unknown_subfield_ids": index.unknown_subfield_ids,
+        },
         "tails": {
             metric: {
                 "threshold": _cell(rep.threshold),
@@ -418,7 +410,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
     if args.out:
         header = [f.name for f in fields(synth_mod.DetectionResult)]
-        _write_csv(Path(args.out), header, _cells(results, header, 6))
+        ingest_mod.write_rows(Path(args.out), header, _cells(results, header, 6))
     return 0
 
 

@@ -11,6 +11,12 @@ eligible_authors reads each author's full papers once, votes the field of
 each author passing both checks, and returns the cohort that
 metrics.compute_all_metrics takes: a metrics.CohortAuthor record per author,
 carrying the papers and citation counts it read.
+
+The vote reads each paper's SubfieldInfo from `CorpusIndex.subfields`,
+resolved once by corpus.build_index; this module never reads the taxonomy.
+A paper whose subfield_id is not in the taxonomy has None there, as an
+unclassified paper does: it counts toward papers and citations but not
+toward the vote.
 """
 
 from __future__ import annotations
@@ -61,30 +67,27 @@ def _vote_field(
     index: CorpusIndex, author_id: str, full: list[int], counts: list[int], seed: int
 ) -> tuple[str, str] | None:
     """(field_id, subfield_id) voted over the author's full papers `full` (int
-    ids) and their citation `counts`, or None if no full paper is classified.
+    ids) and their citation `counts`, or None if no full paper has a subfield
+    of the taxonomy (`index.subfields` holds None for every other paper).
 
     The field with the most of the author's classified full papers wins;
     ties go to the field whose papers received the most citations, then to
     the seeded draw. The subfield is chosen the same way within the winning
     field.
     """
-    taxonomy = index.taxonomy
     subfields = index.subfields
     # [papers, citations] per field, and per subfield within each field.
     by_field: dict[str, list[int]] = {}
     by_subfield: dict[str, dict[str, list[int]]] = {}
     for p, cites in zip(full, counts):
-        subfield_id = subfields[p]
-        if subfield_id is None:
-            continue
-        info = taxonomy.lookup(subfield_id)
+        info = subfields[p]
         if info is None:
             continue
         fid = info.field_id
         field_tally = by_field.setdefault(fid, [0, 0])
         field_tally[0] += 1
         field_tally[1] += cites
-        subfield_tally = by_subfield.setdefault(fid, {}).setdefault(subfield_id, [0, 0])
+        subfield_tally = by_subfield.setdefault(fid, {}).setdefault(info.subfield_id, [0, 0])
         subfield_tally[0] += 1
         subfield_tally[1] += cites
 

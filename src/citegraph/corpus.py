@@ -122,7 +122,8 @@ class CorpusIndex:
     Per paper p:
 
         doc_types[p]      its DocType's value
-        subfields[p]      its subfield_id, or None when unclassified
+        subfields[p]      its taxonomy SubfieldInfo, or None when unclassified
+                          or when its subfield_id is not in the taxonomy
         team_of[p]        id of its distinct sorted author tuple, or -1 for
                           a paper without authors
         citers of p       citer_targets[citer_offsets[p]:citer_offsets[p + 1]]
@@ -133,6 +134,11 @@ class CorpusIndex:
     share it. Every CSR row and every team is strictly increasing, so
     identical inputs in any row order build identical arrays. Offsets are
     64-bit, targets 32-bit.
+
+    A paper with an unknown subfield_id counts toward its authors' papers
+    and citations but not toward their field vote; `unknown_subfield_ids`
+    counts the distinct such ids and `papers_with_unknown_subfield` the
+    papers that carry one.
 
     `papers_of[a]` and `citers_of[p]` serve those two rows by int id, one
     slice each, for the a50pc oracle and the benchmark; the hot paths slice
@@ -158,6 +164,8 @@ class CorpusIndex:
         "dropped_unknown_edges",
         "dropped_self_loops",
         "dropped_unknown_authorships",
+        "papers_with_unknown_subfield",
+        "unknown_subfield_ids",
     )
 
     def __init__(self, **fields) -> None:
@@ -232,9 +240,11 @@ def build_index(
     ids are sorted and numbered, and each buffer is sorted, deduplicated
     and copied into the relation's arrays; the author rows and the teams
     read off them are done before the first citation is read. Ids are
-    stored as the rows hold them, one string per kept id. Nothing here is
-    timed: a run reads the build's own time as what its ingest and index
-    took outside every file's parse.
+    stored as the rows hold them, one string per kept id. Each distinct
+    subfield id is looked up in `taxonomy` once, and its papers share the
+    SubfieldInfo found, or None. Nothing here is timed: a run reads the
+    build's own time as what its ingest and index took outside every
+    file's parse.
 
     Duplicate rows collapse. A paper_id appearing twice with a different
     doc_type or subfield_id is a hard error. Citation edges or authorships
@@ -257,7 +267,10 @@ def build_index(
     paper_ids = sorted(paper_map)
     records = [paper_map[pid] for pid in paper_ids]
     doc_types = bytes(doc_type for doc_type, _ in records)
-    subfields: list[str | None] = [subfield_id for _, subfield_id in records]
+    resolved = {s: None if s is None else taxonomy.lookup(s) for _, s in kinds}
+    unknown = {s for s, info in resolved.items() if s is not None and info is None}
+    subfields = [resolved[s] for _, s in records]
+    papers_with_unknown_subfield = sum(s in unknown for _, s in records) if unknown else 0
     del records
     n_papers = len(paper_ids)
     paper_map.update(zip(paper_ids, range(n_papers)))
@@ -320,6 +333,8 @@ def build_index(
         dropped_unknown_edges=dropped_unknown_edges,
         dropped_self_loops=dropped_self_loops,
         dropped_unknown_authorships=dropped_unknown_authorships,
+        papers_with_unknown_subfield=papers_with_unknown_subfield,
+        unknown_subfield_ids=len(unknown),
     )
 
 

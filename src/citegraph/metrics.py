@@ -118,12 +118,7 @@ def format_fixed(value: Fraction | int, places: int) -> str:
     if frac < 0:
         raise ValueError("negative values not supported")
     unit = 10**places
-    scaled = frac * unit
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    double = 2 * r
-    if double > scaled.denominator or (double == scaled.denominator and q % 2 == 1):
-        q += 1
-    whole, decimals = divmod(q, unit)
+    whole, decimals = divmod(round(frac * unit), unit)
     return f"{whole}.{decimals:0{places}d}"
 
 

@@ -90,12 +90,13 @@ def percentile_threshold(values: Sequence, p: Fraction | int):
     frac = _exact(p)
     if not 0 < frac < 100:
         raise StatsError("percentile must be in (0, 100)")
-    ordered = sorted(values)
-    scaled = frac * len(ordered) / 100
-    rank = scaled.numerator // scaled.denominator
-    if scaled.numerator % scaled.denominator:
-        rank += 1
-    return ordered[max(rank, 1) - 1]
+    return _nearest_rank(sorted(values), frac)
+
+
+def _nearest_rank(ordered: Sequence, p: Fraction | int):
+    """The element of ascending, non-empty `ordered` at 1-based rank
+    ceil(p/100 * n), for 0 < p < 100: a rank from 1 to n."""
+    return ordered[math.ceil(Fraction(p * len(ordered), 100)) - 1]
 
 
 def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailReport:
@@ -119,11 +120,12 @@ def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailRe
     values = {a: getattr(m, spec.metric) for a, m in cohort.items()}
     ordered = sorted(values.values())
 
+    pct = Fraction(spec.percentile)
     if spec.tail == "lower":
-        threshold = percentile_threshold(ordered, spec.percentile)
+        threshold = _nearest_rank(ordered, pct)
         members = frozenset(a for a, v in values.items() if v < threshold)
     else:
-        threshold = percentile_threshold(ordered, 100 - Fraction(spec.percentile))
+        threshold = _nearest_rank(ordered, 100 - pct)
         members = frozenset(a for a, v in values.items() if v > threshold)
 
     cohort_fields = Counter(m.field_id for m in cohort.values())
@@ -144,8 +146,8 @@ def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailRe
         cohort_size=n_cohort,
         threshold=threshold,
         members=members,
-        median=percentile_threshold(ordered, 50),
-        iqr=(percentile_threshold(ordered, 25), percentile_threshold(ordered, 75)),
+        median=_nearest_rank(ordered, 50),
+        iqr=(_nearest_rank(ordered, 25), _nearest_rank(ordered, 75)),
         field_allocation=allocation,
     )
 
@@ -175,8 +177,7 @@ def histogram(values: Sequence, bin_width, lo, hi) -> Histogram:
         raise StatsError("bin_width must be > 0")
     if low >= high:
         raise StatsError("min must be < max")
-    span = (high - low) / width
-    n_bins = span.numerator // span.denominator + (1 if span.numerator % span.denominator else 0)
+    n_bins = math.ceil((high - low) / width)
     counts = [0] * n_bins
     n_below = 0
     n_above = 0

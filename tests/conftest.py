@@ -47,7 +47,7 @@ class DecodedIndex(NamedTuple):
 def decode_index(index: CorpusIndex) -> DecodedIndex:
     """Every relation of `index` decoded once into string-keyed dicts:
 
-        papers      every paper -> (DocType, subfield_id or None)
+        papers      every paper -> (DocType, subfield_id of its SubfieldInfo or None)
         papers_of   every author -> their sorted paper ids
         citers_of   each cited paper -> its sorted citing paper ids
         authors_of  each paper with authors -> its sorted author ids
@@ -56,8 +56,8 @@ def decode_index(index: CorpusIndex) -> DecodedIndex:
     aids = index.author_ids
     return DecodedIndex(
         papers={
-            pid: (DocType(code), subfield)
-            for pid, code, subfield in zip(pids, index.doc_types, index.subfields)
+            pid: (DocType(code), info and info.subfield_id)
+            for pid, code, info in zip(pids, index.doc_types, index.subfields)
         },
         papers_of={aid: tuple(pids[p] for p in index.papers_of[a]) for a, aid in enumerate(aids)},
         citers_of={

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -559,9 +561,13 @@ def test_negative_a50_threshold_fails_before_any_work(corpus_dir, tmp_path, caps
     assert not out.exists()
 
 
-def test_unknown_exclude_field_fails_and_writes_nothing(corpus_dir, tmp_path, capsys):
+def test_unknown_exclude_field_fails_and_writes_nothing(
+    corpus_dir, tmp_path, capsys, monkeypatch
+):
     """A typo in --exclude-field would otherwise leave the a50pc and a50
-    tails unexcluded without a word."""
+    tails unexcluded without a word. It fails once the taxonomy is read,
+    before any record file is."""
+    monkeypatch.setattr(cli, "build_index", lambda *args: pytest.fail("records were read"))
     out = tmp_path / "out"
     flags = ("--exclude-field", "NOPE", "--exclude-field", "F04", "--exclude-field", "F99")
     assert main(_run_args(corpus_dir, out, flags)) == 2
@@ -1004,3 +1010,16 @@ def test_ingest_check_builds_a_run_config_with_out_dir_dot(monkeypatch):
     argv = ["ingest-check"] + _run_args(Path("c"), Path("o"))[1:-2]
     expected = dataclasses.replace(DEFAULT_RUN_CONFIG, out_dir=".")
     assert _config_built_by(monkeypatch, cli, "_parse_inputs", argv) == expected
+
+
+def test_console_script_entry_names_the_cli_main():
+    """The `[project.scripts]` entry behind an installed `citegraph` command
+    names an importable callable. pyproject.toml is read with a regex, as
+    Python 3.10 has no tomllib."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    entries = dict(re.findall(r'^(\S+)\s*=\s*"([^"]*)"', section.group(1), re.M))
+    assert list(entries) == ["citegraph"]
+    module, _, name = entries["citegraph"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    assert callable(target) and target is main

@@ -195,6 +195,19 @@ def test_taxonomy_lookup():
     assert len(tax) == 5
 
 
+def test_subfields_hold_the_taxonomy_entry_and_unknown_ids_are_counted():
+    """Subfields 102 (known), 999, 999 and 888 (unknown) and one empty value
+    (unclassified, so not counted) give 3 papers over 2 unknown ids."""
+    tax = tiny_taxonomy()
+    subfields = ["102", "999", "999", "888", ""]
+    idx = make_index([(f"p{i}", "article", s or None) for i, s in enumerate(subfields)], [], [])
+    assert idx.subfields == [tax.lookup("102"), None, None, None, None]
+    assert idx.papers_with_unknown_subfield == 3
+    assert idx.unknown_subfield_ids == 2
+    known = make_index([("p1", "article", "102"), ("p2", "review", None)], [], [])
+    assert (known.papers_with_unknown_subfield, known.unknown_subfield_ids) == (0, 0)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_build_index_leaves_collector_as_found(enabled):
     was_enabled = gc.isenabled()
