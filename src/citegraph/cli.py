@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
@@ -60,13 +61,14 @@ ALLOCATION_CSV_HEADER = [
 #: The four input files by role: `--<role>` fills `RunConfig.<role>_path`.
 INPUT_ROLES = ("papers", "authorships", "citations", "taxonomy")
 
-COOCCURRENCE_PAIRS = (("c_over_h2", "a50pc"), ("c_over_h2", "a50"), ("a50pc", "a50"))
-
-#: Histogram display range and bin width, (lo, hi, width), per indicator.
-HIST_SPECS: Mapping[str, tuple[Fraction, Fraction, Fraction]] = {
-    "c_over_h2": (Fraction(0), Fraction(20), Fraction(1, 4)),
-    "a50pc": (Fraction(0), Fraction(200), Fraction(1)),
-    "a50": (Fraction(0), Fraction(40), Fraction(1)),
+#: Per indicator: its tail, whether --exclude-field applies to that tail, and
+#: its histogram's display range and bin width (lo, hi, width). Exclusions
+#: apply to the a50pc and a50 tails only, which large collaborations would
+#: otherwise swamp. Co-occurrence is reported for every pair, in this order.
+INDICATORS: Mapping[str, tuple[str, bool, tuple[Fraction, Fraction, Fraction]]] = {
+    "c_over_h2": ("lower", False, (Fraction(0), Fraction(20), Fraction(1, 4))),
+    "a50pc": ("lower", True, (Fraction(0), Fraction(200), Fraction(1))),
+    "a50": ("upper", True, (Fraction(0), Fraction(40), Fraction(1))),
 }
 
 
@@ -90,17 +92,18 @@ class RunConfig:
             raise CitegraphError("a50 threshold must be >= 0")
 
     def tail_specs(self) -> dict[str, stats_mod.TailSpec]:
-        """Lower tails for c_over_h2 and a50pc, upper for a50; exclusions apply
-        to the two tails that large collaborations would otherwise swamp."""
+        """Each indicator's tail as INDICATORS declares it, at this run's percentile."""
         return {
-            "c_over_h2": stats_mod.TailSpec("c_over_h2", "lower", self.percentile),
-            "a50pc": stats_mod.TailSpec("a50pc", "lower", self.percentile, self.excluded_fields),
-            "a50": stats_mod.TailSpec("a50", "upper", self.percentile, self.excluded_fields),
+            metric: stats_mod.TailSpec(
+                metric, tail, self.percentile, self.excluded_fields if excludable else ()
+            )
+            for metric, (tail, excludable, _) in INDICATORS.items()
         }
 
 
 def _require_file(path: str, role: str) -> None:
-    if not Path(path).is_file():
+    """Any existing path passes, so a pipe or a process substitution is read."""
+    if not Path(path).exists():
         raise CitegraphError(f"{role} file not found: {path}")
 
 
@@ -226,8 +229,10 @@ def run_pipeline(cfg: RunConfig) -> Path:
 
     # An empty tail cohort is reported like any other, as a cohort of size 0,
     # so the output file set never depends on the data.
-    tail_reports = {m: stats_mod.tail_members(all_metrics, spec) for m, spec in specs.items()}
-    for metric, tail_report in tail_reports.items():
+    tail_reports: dict[str, stats_mod.TailReport] = {}
+    hist_overflow: dict[str, dict[str, int]] = {}
+    for metric, (_, _, (lo, hi, width)) in INDICATORS.items():
+        tail_report = tail_reports[metric] = stats_mod.tail_members(all_metrics, specs[metric])
         tables[f"tail_{metric}.csv"] = (
             TAIL_CSV_HEADER,
             [[a, _cell(getattr(all_metrics[a], metric))] for a in sorted(tail_report.members)],
@@ -236,9 +241,6 @@ def run_pipeline(cfg: RunConfig) -> Path:
             ALLOCATION_CSV_HEADER,
             _allocation_rows(tail_report, index.taxonomy),
         )
-
-    hist_overflow: dict[str, dict[str, int]] = {}
-    for metric, (lo, hi, width) in HIST_SPECS.items():
         hist = stats_mod.histogram(
             [getattr(m, metric) for m in all_metrics.values()], width, lo, hi
         )
@@ -249,7 +251,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         )
 
     cooccur_rows = []
-    for name_a, name_b in COOCCURRENCE_PAIRS:
+    for name_a, name_b in combinations(INDICATORS, 2):
         table = stats_mod.cooccurrence(all_metrics, specs[name_a], specs[name_b])
         ratio, ci = table.odds_ratio, (table.ci_low, table.ci_high)
         cooccur_rows.append(
@@ -296,7 +298,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
             "excluded_fields": sorted(cfg.excluded_fields),
             "histograms": {
                 m: {"lo": f"{float(lo):g}", "hi": f"{float(hi):g}", "width": f"{float(w):g}"}
-                for m, (lo, hi, w) in HIST_SPECS.items()
+                for m, (_, _, (lo, hi, w)) in INDICATORS.items()
             },
         },
         "ingest": {

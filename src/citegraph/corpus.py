@@ -2,7 +2,9 @@
 
 Everything downstream (cohort selection, indicators, tail statistics) reads
 from a single CorpusIndex built once from flat row streams. The index is
-read-only after construction and safe to share across threads.
+read-only after construction, and that is enforced: CorpusIndex and CsrRows
+are frozen dataclasses, so assigning to an attribute raises
+`dataclasses.FrozenInstanceError`. It is safe to share across threads.
 
 Inside the index every paper and every author is a dense int id: its
 position in the sorted list of the string ids. Int order is therefore
@@ -114,6 +116,7 @@ class FieldTaxonomy:
         return iter(sorted(self._by_subfield.values(), key=lambda e: e.subfield_id))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CorpusIndex:
     """Integer-id CSR index over a de-duplicated publication corpus.
 
@@ -148,29 +151,23 @@ class CorpusIndex:
     clock reading among them, so the same input builds equal slots.
     """
 
-    __slots__ = (
-        "paper_ids",
-        "author_ids",
-        "doc_types",
-        "subfields",
-        "team_of",
-        "teams",
-        "citer_offsets",
-        "citer_targets",
-        "paper_offsets",
-        "paper_targets",
-        "taxonomy",
-        "n_edges",
-        "dropped_unknown_edges",
-        "dropped_self_loops",
-        "dropped_unknown_authorships",
-        "papers_with_unknown_subfield",
-        "unknown_subfield_ids",
-    )
-
-    def __init__(self, **fields) -> None:
-        for name in self.__slots__:
-            setattr(self, name, fields[name])
+    paper_ids: list[str]
+    author_ids: list[str]
+    doc_types: bytes
+    subfields: list[SubfieldInfo | None]
+    team_of: array
+    teams: list[tuple[int, ...]]
+    citer_offsets: array
+    citer_targets: array
+    paper_offsets: array
+    paper_targets: array
+    taxonomy: FieldTaxonomy
+    n_edges: int
+    dropped_unknown_edges: int
+    dropped_self_loops: int
+    dropped_unknown_authorships: int
+    papers_with_unknown_subfield: int
+    unknown_subfield_ids: int
 
     def author_index(self, author_id: str) -> int | None:
         """Int id of `author_id`, or None for an author with no indexed paper."""
@@ -199,23 +196,21 @@ class CorpusIndex:
         return CsrRows(self.citer_offsets, self.citer_targets)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CsrRows(Sequence):
     """Read-only rows of one CSR relation: row i is targets[offsets[i]:offsets[i + 1]]."""
 
-    __slots__ = ("_offsets", "_targets")
-
-    def __init__(self, offsets: array, targets: array):
-        self._offsets = offsets
-        self._targets = targets
+    offsets: array
+    targets: array
 
     def __len__(self) -> int:
-        return len(self._offsets) - 1
+        return len(self.offsets) - 1
 
     def __getitem__(self, i: int) -> array:
         if not 0 <= i < len(self):
             raise IndexError(i)
-        offsets = self._offsets
-        return self._targets[offsets[i]:offsets[i + 1]]
+        offsets = self.offsets
+        return self.targets[offsets[i]:offsets[i + 1]]
 
 
 def build_index(

@@ -240,11 +240,10 @@ class _Builder:
     rng: random.Random
     corpus: SynthCorpus
     labels: dict[str, tuple[str, str]] = field(default_factory=dict)
-    _fields: list[str] = field(default_factory=list)
-    _subfields_by_field: dict[str, list[str]] = field(default_factory=dict)
-    _kind_code: dict[tuple[DocType, str | None], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        """Derive the field and kind lookups from the corpus's taxonomy."""
+        self._subfields_by_field: dict[str, list[str]] = {}
         for entry in self.corpus.taxonomy:
             self._subfields_by_field.setdefault(entry.field_id, []).append(entry.subfield_id)
         self._fields = sorted(self._subfields_by_field)
@@ -273,6 +272,17 @@ class _Builder:
             corpus.authorship_papers.append(paper)
             corpus.authorship_authors.append(author_id)
         return paper
+
+    def plant(self, members: list[str], label: str, group: str, n_papers: int) -> list[int]:
+        """Label `members` with a planted behavior, pick one home field and add
+        n_papers classified articles they all author; returns the paper numbers."""
+        for author_id in members:
+            self.labels[author_id] = (label, group)
+        home = self.pick_home_field()
+        return [
+            self.new_paper(members, DocType.ARTICLE, self.paper_subfield(home, True))
+            for _ in range(n_papers)
+        ]
 
 
 def _top_allocation(budget: int, n: int, alpha: float) -> list[int]:
@@ -460,12 +470,7 @@ def _build_self_citers(builder: _Builder, cfg: SynthConfig) -> None:
     n_papers = h + 4
     for i in range(cfg.n_self_citers):
         author_id = f"s{i:04d}"
-        builder.labels[author_id] = (LABEL_SELF_CITER, author_id)
-        home = builder.pick_home_field()
-        papers = [
-            builder.new_paper([author_id], DocType.ARTICLE, builder.paper_subfield(home, True))
-            for _ in range(n_papers)
-        ]
+        papers = builder.plant([author_id], LABEL_SELF_CITER, author_id, n_papers)
         # Each of the h top papers is cited by h distinct other papers of the
         # same author: citations land exactly where they raise h, and
         # citations == h*h, the floor of c_over_h2.
@@ -480,17 +485,10 @@ def _build_cartels(builder: _Builder, cfg: SynthConfig) -> None:
     n_papers = h + 1
     for c in range(cfg.n_cartels):
         group = f"cartel{c:02d}"
-        members = [f"c{c:02d}m{k:02d}" for k in range(cfg.cartel_size)]
-        member_papers: list[list[int]] = []
-        for author_id in members:
-            builder.labels[author_id] = (LABEL_CARTEL, group)
-            home = builder.pick_home_field()
-            member_papers.append(
-                [
-                    builder.new_paper([author_id], DocType.ARTICLE, builder.paper_subfield(home, True))
-                    for _ in range(n_papers)
-                ]
-            )
+        member_papers = [
+            builder.plant([f"c{c:02d}m{k:02d}"], LABEL_CARTEL, group, n_papers)
+            for k in range(cfg.cartel_size)
+        ]
         # Every member's h top papers are each cited by h citing papers drawn
         # round-robin from the other members, and each citing paper cites all
         # h top papers, so a few partners cover all citations.
@@ -511,13 +509,7 @@ def _build_hyperteams(builder: _Builder, cfg: SynthConfig, pool: _CitingPool) ->
     for t in range(cfg.n_hyperteams):
         group = f"team{t:02d}"
         members = [f"t{t:02d}m{k:02d}" for k in range(cfg.team_size)]
-        for author_id in members:
-            builder.labels[author_id] = (LABEL_HYPERTEAM, group)
-        home = builder.pick_home_field()
-        papers = [
-            builder.new_paper(members, DocType.ARTICLE, builder.paper_subfield(home, True))
-            for _ in range(cfg.joint_papers)
-        ]
+        papers = builder.plant(members, LABEL_HYPERTEAM, group, cfg.joint_papers)
         n = cfg.joint_papers
         h = _TEAM_H
         budget = _TEAM_CITATIONS - h * h - 4 * (n - h)

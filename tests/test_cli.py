@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import importlib
 import json
+import os
 import re
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -221,10 +224,38 @@ def test_missing_input_file_fails_with_single_line_error(corpus_dir, tmp_path, c
     idx = args.index("--citations")
     args[idx + 1] = str(corpus_dir / "nope.csv")
     assert main(args) == 2
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error:")
-    assert "nope.csv" in err
+    err = capsys.readouterr().err
+    assert err == f"error: citations file not found: {corpus_dir / 'nope.csv'}\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads a pipe as /dev/fd/N")
+@pytest.mark.parametrize("role", ["citations", "taxonomy"])
+def test_run_reads_an_input_from_a_pipe(corpus_dir, run_dir, tmp_path, role):
+    """A pipe or process substitution (`--citations <(cat citations.csv)`) is
+    read like the file: the same row accounting, index and report bytes."""
+    data = (corpus_dir / f"{role}.csv").read_bytes()
+    read_fd, write_fd = os.pipe()
+
+    def feed() -> None:
+        # From a daemon thread, so that a run which stops reading early
+        # cannot block the suite on a full pipe buffer.
+        try:
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
+
+    threading.Thread(target=feed, daemon=True).start()
+    args = _run_args(corpus_dir, tmp_path / "piped")
+    args[args.index(f"--{role}") + 1] = f"/dev/fd/{read_fd}"
+    try:
+        assert main(args) == 0
+    finally:
+        os.close(read_fd)
+    piped = json.loads((tmp_path / "piped" / "manifest.json").read_text())
+    filed = json.loads((run_dir / "manifest.json").read_text())
+    for section in ("ingest", "index", "outputs"):
+        assert piped[section] == filed[section], section
 
 
 def test_ingest_check_reports_accounting(corpus_dir, capsys):
@@ -867,12 +898,15 @@ def test_non_utf8_input_fails_with_single_line_error(tmp_path, corpus_dir, capsy
     assert "UTF-8" in err
 
 
-@pytest.mark.parametrize("failure", ["missing_input", "undefined_metric"])
+@pytest.mark.parametrize("failure", ["missing_input", "directory_input", "undefined_metric"])
 def test_failed_run_creates_no_output_directory(corpus_dir, tmp_path, capsys, failure):
     out = tmp_path / "out"
     if failure == "missing_input":
         args = _run_args(corpus_dir, out)
         args[args.index("--citations") + 1] = str(corpus_dir / "nope.csv")
+    elif failure == "directory_input":
+        args = _run_args(corpus_dir, out)
+        args[args.index("--citations") + 1] = str(corpus_dir)
     else:  # an eligible author with no citations has no c_over_h2
         corpus = tmp_path / "uncited"
         corpus.mkdir()
@@ -884,7 +918,9 @@ def test_failed_run_creates_no_output_directory(corpus_dir, tmp_path, capsys, fa
         )
         args = _run_args(corpus, out, ("--min-papers", "0", "--min-citations", "0"))
     assert main(args) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 
@@ -30,6 +31,21 @@ def test_build_small_index():
     assert views.authors_of["p3"] == ("a1", "a2")
     assert idx.n_edges == 2
     assert idx.dropped_unknown_edges == 0
+
+
+@pytest.mark.parametrize("name", ["n_edges", "subfields", "papers_with_unknown_subfield"])
+def test_index_refuses_assignment(name):
+    idx = make_index(
+        papers=[("p1", "article", "102"), ("p2", "article", None)],
+        authorships=[("p1", "a1")],
+        citations=[("p2", "p1")],
+    )
+    before = getattr(idx, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(idx, name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        idx.citers_of.targets = None
+    assert getattr(idx, name) is before
 
 
 def test_edge_to_unknown_paper_dropped_with_count():
