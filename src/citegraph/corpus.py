@@ -4,7 +4,8 @@ Everything downstream (cohort selection, indicators, tail statistics) reads
 from a single CorpusIndex built once from flat row streams. The index is
 read-only after construction, and that is enforced: CorpusIndex and CsrRows
 are frozen dataclasses, so assigning to an attribute raises
-`dataclasses.FrozenInstanceError`. It is safe to share across threads.
+`dataclasses.FrozenInstanceError`. It is safe to share across threads. Their
+repr is the plain object repr: a generated one would print every array.
 
 Inside the index every paper and every author is a dense int id: its
 position in the sorted list of the string ids. Int order is therefore
@@ -116,7 +117,7 @@ class FieldTaxonomy:
         return iter(sorted(self._by_subfield.values(), key=lambda e: e.subfield_id))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CorpusIndex:
     """Integer-id CSR index over a de-duplicated publication corpus.
 
@@ -196,7 +197,7 @@ class CorpusIndex:
         return CsrRows(self.citer_offsets, self.citer_targets)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CsrRows(Sequence):
     """Read-only rows of one CSR relation: row i is targets[offsets[i]:offsets[i + 1]]."""
 

@@ -46,6 +46,7 @@ def test_index_refuses_assignment(name):
     with pytest.raises(dataclasses.FrozenInstanceError):
         idx.citers_of.targets = None
     assert getattr(idx, name) is before
+    assert repr(idx).startswith("<citegraph.corpus.CorpusIndex object at ")
 
 
 def test_edge_to_unknown_paper_dropped_with_count():
