@@ -3,7 +3,9 @@
 Subcommands:
 
     synth         write a synthetic corpus (plus ground-truth labels)
-    ingest-check  parse and index the four input files, report row accounting
+    ingest-check  parse and index the four input files; print the run manifest's
+                  row accounting (its ingest, index and data_quality sections)
+                  as JSON
     run           full pipeline; writes metrics.csv, per-metric tail,
                   allocation and histogram CSVs, cooccur.csv, manifest.json,
                   and timings.json into the output directory
@@ -28,12 +30,13 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Mapping
+from typing import BinaryIO, Mapping
 
 from . import cohort as cohort_mod
 from . import ingest as ingest_mod
@@ -101,10 +104,15 @@ class RunConfig:
         }
 
 
-def _require_file(path: str, role: str) -> None:
-    """Any existing path passes, so a pipe or a process substitution is read."""
-    if not Path(path).exists():
-        raise CitegraphError(f"{role} file not found: {path}")
+def _open_input(path: str | Path, role: str) -> BinaryIO:
+    """`path` opened for binary reading, so a pipe or a process substitution is
+    read too; a missing path or any other OSError is an error naming `role`."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise CitegraphError(f"{role} file not found: {path}") from None
+    except OSError as exc:
+        raise CitegraphError(f"{role} file {path}: {exc.strerror}") from None
 
 
 def _cell(value, places: int = 2) -> str:
@@ -147,30 +155,55 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 
 
 def _parse_inputs(cfg: RunConfig, report: ingest_mod.IngestReport) -> CorpusIndex:
-    """The index of the four input files. The taxonomy is read first, so an
-    --exclude-field id that is not among its field_ids fails before any
-    record file is opened."""
-    for role in INPUT_ROLES:
-        _require_file(getattr(cfg, f"{role}_path"), role)
-
-    with open(cfg.taxonomy_path, "rb") as fh:
-        taxonomy = ingest_mod.parse_taxonomy(fh, report.stats_for("taxonomy"))
-    unknown = sorted(f for f in cfg.excluded_fields if taxonomy.field_name(f) is None)
-    if unknown:
-        raise CitegraphError(
-            f"--exclude-field {', '.join(unknown)}: not a field_id of {cfg.taxonomy_path}"
+    """The index of the four input files. All four are opened first, in role
+    order, so a bad path fails before anything is parsed; then the taxonomy
+    is read, so an --exclude-field id that is not among its field_ids fails
+    before any record file is read."""
+    with ExitStack() as stack:
+        fp, fa, fc, ft = (
+            stack.enter_context(_open_input(getattr(cfg, f"{role}_path"), role))
+            for role in INPUT_ROLES
         )
-
-    # The three record parsers are generators; consume them inside the open.
-    with open(cfg.papers_path, "rb") as fp, open(cfg.authorships_path, "rb") as fa, open(
-        cfg.citations_path, "rb"
-    ) as fc:
+        taxonomy = ingest_mod.parse_taxonomy(ft, report.stats_for("taxonomy"))
+        unknown = sorted(f for f in cfg.excluded_fields if taxonomy.field_name(f) is None)
+        if unknown:
+            raise CitegraphError(
+                f"--exclude-field {', '.join(unknown)}: not a field_id of {cfg.taxonomy_path}"
+            )
+        # The three record parsers are generators; consume them inside the open.
         return build_index(
             ingest_mod.parse_papers(fp, report.stats_for("papers")),
             ingest_mod.parse_authorships(fa, report.stats_for("authorships")),
             ingest_mod.parse_citations(fc, report.stats_for("citations")),
             taxonomy,
         )
+
+
+def _accounting(report: ingest_mod.IngestReport, index: CorpusIndex) -> dict[str, dict]:
+    """The manifest's row accounting: its `ingest`, `index` and `data_quality`
+    sections, which `ingest-check` prints as they are."""
+    return {
+        "ingest": {
+            name: {
+                "rows_read": st.rows_read,
+                "emitted": st.emitted,
+                "dropped": dict(sorted(st.dropped.items())),
+            }
+            for name, st in sorted(report.files.items())
+        },
+        "index": {
+            "n_papers": len(index.paper_ids),
+            "n_authors": len(index.author_ids),
+            "n_citation_edges": index.n_edges,
+            "dropped_unknown_edges": index.dropped_unknown_edges,
+            "dropped_self_loops": index.dropped_self_loops,
+            "dropped_unknown_authorships": index.dropped_unknown_authorships,
+        },
+        "data_quality": {
+            "papers_with_unknown_subfield": index.papers_with_unknown_subfield,
+            "unknown_subfield_ids": index.unknown_subfield_ids,
+        },
+    }
 
 
 def _memory_mb() -> tuple[float | None, float | None]:
@@ -229,10 +262,17 @@ def run_pipeline(cfg: RunConfig) -> Path:
 
     # An empty tail cohort is reported like any other, as a cohort of size 0,
     # so the output file set never depends on the data.
-    tail_reports: dict[str, stats_mod.TailReport] = {}
+    tails: dict[str, dict] = {}
     hist_overflow: dict[str, dict[str, int]] = {}
     for metric, (_, _, (lo, hi, width)) in INDICATORS.items():
-        tail_report = tail_reports[metric] = stats_mod.tail_members(all_metrics, specs[metric])
+        tail_report = stats_mod.tail_members(all_metrics, specs[metric])
+        tails[metric] = {
+            "threshold": _cell(tail_report.threshold),
+            "members": len(tail_report.members),
+            "cohort_size": tail_report.cohort_size,
+            "median": _cell(tail_report.median),
+            "iqr": [_cell(tail_report.iqr[0]), _cell(tail_report.iqr[1])],
+        }
         tables[f"tail_{metric}.csv"] = (
             TAIL_CSV_HEADER,
             [[a, _cell(getattr(all_metrics[a], metric))] for a in sorted(tail_report.members)],
@@ -301,37 +341,9 @@ def run_pipeline(cfg: RunConfig) -> Path:
                 for m, (_, _, (lo, hi, w)) in INDICATORS.items()
             },
         },
-        "ingest": {
-            name: {
-                "rows_read": st.rows_read,
-                "emitted": st.emitted,
-                "dropped": dict(sorted(st.dropped.items())),
-            }
-            for name, st in sorted(report.files.items())
-        },
-        "index": {
-            "n_papers": len(index.paper_ids),
-            "n_authors": len(index.author_ids),
-            "n_citation_edges": index.n_edges,
-            "dropped_unknown_edges": index.dropped_unknown_edges,
-            "dropped_self_loops": index.dropped_self_loops,
-            "dropped_unknown_authorships": index.dropped_unknown_authorships,
-        },
+        **_accounting(report, index),
         "cohort": {"n_eligible": len(all_metrics)},
-        "data_quality": {
-            "papers_with_unknown_subfield": index.papers_with_unknown_subfield,
-            "unknown_subfield_ids": index.unknown_subfield_ids,
-        },
-        "tails": {
-            metric: {
-                "threshold": _cell(rep.threshold),
-                "members": len(rep.members),
-                "cohort_size": rep.cohort_size,
-                "median": _cell(rep.median),
-                "iqr": [_cell(rep.iqr[0]), _cell(rep.iqr[1])],
-            }
-            for metric, rep in sorted(tail_reports.items())
-        },
+        "tails": tails,
         "histogram_overflow": hist_overflow,
         "outputs": dict(sorted(checksums.items())),
     }
@@ -380,26 +392,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_ingest_check(args: argparse.Namespace) -> int:
     report = ingest_mod.IngestReport()
     index = _parse_inputs(_record(RunConfig, args, out_dir="."), report)
-    for name, st in sorted(report.files.items()):
-        dropped = ", ".join(f"{k}={v}" for k, v in sorted(st.dropped.items())) or "none"
-        print(f"{name}: rows_read={st.rows_read} emitted={st.emitted} dropped=[{dropped}]")
-    print(
-        f"index: papers={len(index.paper_ids)} authors={len(index.author_ids)} "
-        f"edges={index.n_edges} dropped_unknown_edges={index.dropped_unknown_edges} "
-        f"dropped_self_loops={index.dropped_self_loops} "
-        f"dropped_unknown_authorships={index.dropped_unknown_authorships}"
-    )
+    print(json.dumps(_accounting(report, index), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    truth = synth_mod.read_truth(args.truth)
+    with _open_input(args.truth, "truth") as fh:
+        truth = synth_mod.read_truth(fh)
     run_dir = Path(args.run_dir)
     members: dict[str, frozenset[str]] = {}
     for metric in stats_mod.METRIC_NAMES:
-        tail_path = run_dir / f"tail_{metric}.csv"
-        _require_file(str(tail_path), "tail")
-        with open(tail_path, "rb") as fh:
+        with _open_input(run_dir / f"tail_{metric}.csv", "tail") as fh:
             rows = ingest_mod.read_rows(fh, TAIL_CSV_HEADER)
             members[metric] = frozenset(author_id for _, (author_id, _) in rows)
     results = synth_mod.evaluate_detection(truth, members)

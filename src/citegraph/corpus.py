@@ -2,13 +2,17 @@
 
 Everything downstream (cohort selection, indicators, tail statistics) reads
 from a single CorpusIndex built once from flat row streams. The index is
-read-only after construction, and that is enforced: CorpusIndex and CsrRows
-are frozen dataclasses, so assigning to an attribute raises
-`dataclasses.FrozenInstanceError`. It is safe to share across threads. Their
-repr is the plain object repr: a generated one would print every array.
+not changed after construction, and that is enforced only in part.
+CorpusIndex and CsrRows are frozen dataclasses, so assigning to an attribute
+raises `dataclasses.FrozenInstanceError`; `paper_ids`, `author_ids`,
+`subfields` and `teams` are tuples and `doc_types` is bytes, so none of them
+takes a write. The `array` slots (`team_of` and each relation's offsets and
+targets) stay writable: a write into one is not caught, so callers must not
+make one. It is safe to share across threads. Their repr is the plain object
+repr: a generated one would print every array.
 
 Inside the index every paper and every author is a dense int id: its
-position in the sorted list of the string ids. Int order is therefore
+position in the sorted tuple of the string ids. Int order is therefore
 string order, so anything ordered or tie-broken by id comes out exactly as
 it would over the strings. Adjacency is stored in CSR form, an offsets
 array and a targets array per relation, so a row is one slice of one
@@ -122,7 +126,7 @@ class CorpusIndex:
     """Integer-id CSR index over a de-duplicated publication corpus.
 
     Paper int ids are positions in `paper_ids` and author int ids positions
-    in `author_ids`; both lists are sorted and hold the id strings as read.
+    in `author_ids`; both tuples are sorted and hold the id strings as read.
     Per paper p:
 
         doc_types[p]      its DocType's value
@@ -152,12 +156,12 @@ class CorpusIndex:
     clock reading among them, so the same input builds equal slots.
     """
 
-    paper_ids: list[str]
-    author_ids: list[str]
+    paper_ids: tuple[str, ...]
+    author_ids: tuple[str, ...]
     doc_types: bytes
-    subfields: list[SubfieldInfo | None]
+    subfields: tuple[SubfieldInfo | None, ...]
     team_of: array
-    teams: list[tuple[int, ...]]
+    teams: tuple[tuple[int, ...], ...]
     citer_offsets: array
     citer_targets: array
     paper_offsets: array
@@ -313,11 +317,13 @@ def build_index(
     if dropped_unknown_authorships:
         logger.warning("dropped %d authorships referencing unknown papers", dropped_unknown_authorships)
 
+    # The lists become tuples only now, once the citer buffers are freed, so
+    # that the copies do not add to the peak.
     return CorpusIndex(
-        paper_ids=paper_ids,
-        author_ids=author_ids,
+        paper_ids=tuple(paper_ids),
+        author_ids=tuple(author_ids),
         doc_types=doc_types,
-        subfields=subfields,
+        subfields=tuple(subfields),
         team_of=team_of,
         teams=teams,
         citer_offsets=citer_offsets,
@@ -358,7 +364,7 @@ _LOW_32 = (1 << 32) - 1
 
 def _teams(
     paper_offsets: array, paper_targets: array, n_papers: int
-) -> tuple[array, list[tuple[int, ...]]]:
+) -> tuple[array, tuple[tuple[int, ...], ...]]:
     """team_of and teams read off the finished author rows.
 
     Sorting one `paper << 32 | author` int per authorship groups each
@@ -384,4 +390,4 @@ def _teams(
         paper = p
     if team:
         team_of[paper] = number(tuple(team), len(team_ids))
-    return team_of, list(team_ids)
+    return team_of, tuple(team_ids)

@@ -94,9 +94,10 @@ def percentile_threshold(values: Sequence, p: Fraction | int):
 
 
 def _nearest_rank(ordered: Sequence, p: Fraction | int):
-    """The element of ascending, non-empty `ordered` at 1-based rank
-    ceil(p/100 * n), for 0 < p < 100: a rank from 1 to n."""
-    return ordered[math.ceil(Fraction(p * len(ordered), 100)) - 1]
+    """The element of ascending `ordered` at 1-based rank ceil(p/100 * n),
+    for 0 < p < 100: a rank from 1 to n. None when `ordered` is empty, so an
+    empty cohort's threshold, median and quartiles are None."""
+    return ordered[math.ceil(Fraction(p * len(ordered), 100)) - 1] if ordered else None
 
 
 def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailReport:
@@ -105,18 +106,10 @@ def tail_members(metrics: Mapping[str, AuthorMetrics], spec: TailSpec) -> TailRe
     The threshold and summary statistics are computed on the cohort after
     removing authors in excluded fields. Fold is a field's tail share divided
     by its cohort share. A cohort left empty, by the exclusions or because no
-    author is eligible, gives a report of size 0 with no statistics.
+    author is eligible, takes the same path and gives a report of size 0,
+    with no members, no allocation rows and None statistics.
     """
     cohort = {a: m for a, m in metrics.items() if m.field_id not in spec.excluded_fields}
-    if not cohort:
-        return TailReport(
-            cohort_size=0,
-            threshold=None,
-            members=frozenset(),
-            median=None,
-            iqr=(None, None),
-            field_allocation=(),
-        )
     values = {a: getattr(m, spec.metric) for a, m in cohort.items()}
     ordered = sorted(values.values())
 

@@ -54,7 +54,7 @@ subfield ids) holds no comma, quote or line break, so the bytes equal what
 `citation_rows` yield the tuples that the ingest parsers yield, formatting
 ids as they go, for `corpus.build_index` and for checks against the files.
 taxonomy.csv and truth.csv go through `ingest.write_rows`, and `read_truth`
-reads truth.csv back through `ingest.read_rows`. The background's shape
+reads truth.csv back from a binary stream through `ingest.read_rows`. The background's shape
 (h and paper-count ranges, attachment exponent, citing batch) is fixed in
 module constants; `SynthConfig` holds only what callers vary.
 """
@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from .corpus import (
     AuthorshipRow,
@@ -80,7 +80,7 @@ from .corpus import (
 )
 from .errors import CitegraphError
 from .ingest import AUTHORSHIPS_HEADER, CITATIONS_HEADER, PAPERS_HEADER
-from .ingest import read_rows, write_rows, write_taxonomy
+from .ingest import _named, read_rows, write_rows, write_taxonomy
 
 LABEL_BACKGROUND = "background"
 LABEL_SELF_CITER = "self_citer"
@@ -545,21 +545,20 @@ def write_truth(path: str | Path, truth: GroundTruth) -> None:
     write_rows(path, TRUTH_HEADER, ((a, *truth.labels[a]) for a in sorted(truth.labels)))
 
 
-def read_truth(path: str | Path) -> GroundTruth:
-    """Read truth.csv through ingest's checked reader; ids unique, labels in `LABELS`."""
+def read_truth(source: IO[bytes]) -> GroundTruth:
+    """Read truth.csv from a binary stream through ingest's checked reader;
+    ids unique, labels in `LABELS`. Like every ingest error, a message starts
+    with the stream's name when it has one."""
     labels: dict[str, tuple[str, str]] = {}
     first_line: dict[str, int] = {}
-    with open(path, "rb") as fh:
-        for line, (author_id, label, group_id) in read_rows(fh, TRUTH_HEADER):
-            if author_id in first_line:
-                raise SynthConfigError(
-                    f"{path}: line {line}: duplicate author_id {author_id!r} "
-                    f"(first on line {first_line[author_id]})"
-                )
-            if label not in LABELS:
-                raise SynthConfigError(f"{path}: line {line}: unknown label {label!r}")
-            first_line[author_id] = line
-            labels[author_id] = (label, group_id)
+    for line, (author_id, label, group_id) in read_rows(source, TRUTH_HEADER):
+        if author_id in first_line:
+            problem = f"duplicate author_id {author_id!r} (first on line {first_line[author_id]})"
+            raise SynthConfigError(_named(source, f"line {line}: {problem}"))
+        if label not in LABELS:
+            raise SynthConfigError(_named(source, f"line {line}: unknown label {label!r}"))
+        first_line[author_id] = line
+        labels[author_id] = (label, group_id)
     return GroundTruth(labels=labels)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import importlib
 import json
 import os
@@ -269,9 +270,91 @@ def test_ingest_check_reports_accounting(corpus_dir, capsys):
         ]
     )
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "papers: rows_read=" in out
-    assert "index: papers=" in out
+    accounting = json.loads(capsys.readouterr().out)
+    assert list(accounting) == ["data_quality", "index", "ingest"]
+    assert list(accounting["ingest"]) == ["authorships", "citations", "papers", "taxonomy"]
+
+
+def test_ingest_check_prints_the_run_manifest_accounting(corpus_dir, tmp_path, capsys):
+    """`ingest-check` prints the `ingest`, `index` and `data_quality` sections
+    of the manifest a run writes on the same inputs, here with two subfield
+    ids that are not in the taxonomy."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for role in cli.INPUT_ROLES:
+        (corpus / f"{role}.csv").write_bytes((corpus_dir / f"{role}.csv").read_bytes())
+    lines = (corpus / "papers.csv").read_text().splitlines(keepends=True)
+    for i, unknown in ((1, "zz1"), (2, "zz2"), (3, "zz1")):
+        paper_id, doc_type, _ = lines[i].rstrip("\n").split(",")
+        lines[i] = f"{paper_id},{doc_type},{unknown}\n"
+    (corpus / "papers.csv").write_text("".join(lines))
+    args = _run_args(corpus, tmp_path / "run")
+    assert main(["ingest-check"] + args[1:-2]) == 0
+    printed = capsys.readouterr().out
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    accounting = {name: manifest[name] for name in ("ingest", "index", "data_quality")}
+    assert accounting["data_quality"] == {
+        "papers_with_unknown_subfield": 3,
+        "unknown_subfield_ids": 2,
+    }
+    assert json.loads(printed) == accounting
+    assert printed == json.dumps(accounting, indent=2, sort_keys=True) + "\n"
+
+
+def _bad_input_cases(corpus_dir: Path, run_dir: Path, tmp_path: Path):
+    """(argv, exact stderr) per bad input, one per role and error shape."""
+    directory = os.strerror(errno.EISDIR)
+    run = _run_args(corpus_dir, tmp_path / "out")
+    run[run.index("--citations") + 1] = str(corpus_dir)
+    bad_run = tmp_path / "run"
+    bad_run.mkdir()
+    for path in run_dir.glob("tail_*.csv"):
+        (bad_run / path.name).write_bytes(path.read_bytes())
+    (bad_run / "tail_a50.csv").unlink()
+    (bad_run / "tail_a50.csv").mkdir()
+    truth = str(corpus_dir / "truth.csv")
+    missing = str(tmp_path / "nope.csv")
+    return {
+        "run_citations_directory": (run, f"citations file {corpus_dir}: {directory}"),
+        "ingest_check_citations_directory": (
+            ["ingest-check"] + run[1:-2],
+            f"citations file {corpus_dir}: {directory}",
+        ),
+        "truth_directory": (
+            ["evaluate", "--truth", str(corpus_dir), "--run-dir", str(run_dir)],
+            f"truth file {corpus_dir}: {directory}",
+        ),
+        "truth_missing": (
+            ["evaluate", "--truth", missing, "--run-dir", str(run_dir)],
+            f"truth file not found: {missing}",
+        ),
+        "tail_directory": (
+            ["evaluate", "--truth", truth, "--run-dir", str(bad_run)],
+            f"tail file {bad_run / 'tail_a50.csv'}: {directory}",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "run_citations_directory",
+        "ingest_check_citations_directory",
+        "truth_directory",
+        "truth_missing",
+        "tail_directory",
+    ],
+)
+def test_a_bad_input_path_names_its_role(corpus_dir, run_dir, tmp_path, capsys, case):
+    """A missing path is `<role> file not found: <path>`; any other OSError,
+    such as a directory, is `<role> file <path>: <strerror>`."""
+    argv, message = _bad_input_cases(corpus_dir, run_dir, tmp_path)[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_prints_motif_lines(corpus_dir, run_dir, tmp_path, capsys):
@@ -921,6 +1004,8 @@ def test_failed_run_creates_no_output_directory(corpus_dir, tmp_path, capsys, fa
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+    if failure == "directory_input":
+        assert err == f"error: citations file {corpus_dir}: {os.strerror(errno.EISDIR)}\n"
     assert not out.exists()
 
 

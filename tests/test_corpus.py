@@ -49,6 +49,24 @@ def test_index_refuses_assignment(name):
     assert repr(idx).startswith("<citegraph.corpus.CorpusIndex object at ")
 
 
+@pytest.mark.parametrize("name", ["paper_ids", "author_ids", "subfields", "teams"])
+def test_index_sequences_refuse_writes(name):
+    """The id, subfield and team slots are tuples: a built index's rows
+    cannot be appended to or overwritten in place."""
+    idx = make_index(
+        papers=[("p1", "article", "102"), ("p2", "article", None)],
+        authorships=[("p1", "a1"), ("p2", "a1")],
+        citations=[("p2", "p1")],
+    )
+    slot = getattr(idx, name)
+    before = tuple(slot)
+    with pytest.raises(AttributeError):
+        slot.append(slot[0])
+    with pytest.raises(TypeError):
+        slot[0] = slot[-1]
+    assert getattr(idx, name) == before
+
+
 def test_edge_to_unknown_paper_dropped_with_count():
     idx = make_index(
         papers=[("p1", "article", None)],
@@ -218,7 +236,7 @@ def test_subfields_hold_the_taxonomy_entry_and_unknown_ids_are_counted():
     tax = tiny_taxonomy()
     subfields = ["102", "999", "999", "888", ""]
     idx = make_index([(f"p{i}", "article", s or None) for i, s in enumerate(subfields)], [], [])
-    assert idx.subfields == [tax.lookup("102"), None, None, None, None]
+    assert idx.subfields == (tax.lookup("102"), None, None, None, None)
     assert idx.papers_with_unknown_subfield == 3
     assert idx.unknown_subfield_ids == 2
     known = make_index([("p1", "article", "102"), ("p2", "review", None)], [], [])

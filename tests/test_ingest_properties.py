@@ -183,8 +183,8 @@ def test_csr_arrays_are_canonical_in_any_row_order(corpus, rng):
     for rows in ((paper_rows, ship_rows, edge_rows), shuffled):
         index, _ = _ingest(*rows, dialect)
         # Int ids are positions in the sorted string ids.
-        assert index.paper_ids == sorted(expected)
-        assert index.author_ids == sorted({a for p, a in ship_rows if p in expected})
+        assert index.paper_ids == tuple(sorted(expected))
+        assert index.author_ids == tuple(sorted({a for p, a in ship_rows if p in expected}))
         n_papers, n_authors = len(index.paper_ids), len(index.author_ids)
         _check_csr(index.citer_offsets, index.citer_targets, n_papers)
         _check_csr(index.paper_offsets, index.paper_targets, n_authors)

@@ -214,7 +214,8 @@ def test_background_ratio_distribution_shape(small_corpus, small_analysis):
 def test_truth_round_trip(tmp_path, small_corpus):
     path = tmp_path / "truth.csv"
     write_truth(path, small_corpus.truth)
-    loaded = read_truth(path)
+    with open(path, "rb") as fh:
+        loaded = read_truth(fh)
     assert dict(loaded.labels) == dict(small_corpus.truth.labels)
 
 
